@@ -405,13 +405,16 @@ EOF
   # The plain ASan/TSan ctest sweeps above already run the chromatic suites;
   # here the same suites additionally run with -DEFRB_TEST_POOLED (every
   # schedule through the ObjectPool, including pooled ScxRecord recycling)
-  # under both sanitizers.
-  run cmake --build build-asan-pooled --target chromatic_test chromatic_concurrent_test
+  # under both sanitizers — together with ordered_query_test, so the ordered
+  # walks both trees share run over pooled nodes for each of them.
+  run cmake --build build-asan-pooled --target chromatic_test chromatic_concurrent_test ordered_query_test
   run ./build-asan-pooled/tests/chromatic_test --gtest_color=no
   run ./build-asan-pooled/tests/chromatic_concurrent_test --gtest_color=no
-  run cmake --build build-tsan-pooled --target chromatic_test chromatic_concurrent_test
+  run ./build-asan-pooled/tests/ordered_query_test --gtest_color=no
+  run cmake --build build-tsan-pooled --target chromatic_test chromatic_concurrent_test ordered_query_test
   run ./build-tsan-pooled/tests/chromatic_test --gtest_color=no
   run ./build-tsan-pooled/tests/chromatic_concurrent_test --gtest_color=no
+  run ./build-tsan-pooled/tests/ordered_query_test --gtest_color=no
   # A/B gate over the E1d balance ablation: the chromatic tree must crush the
   # EFRB tree on its pathological input (sorted insert: the vine vs O(log n)
   # rebalancing) while paying at most 10% rent on the uniform balanced mix.

@@ -4,8 +4,8 @@
 // (state + Info pointer packed into one CAS word), the Info records, and the
 // leaf-oriented node types — with no algorithm attached. The Search routine
 // (search.hpp), the CAS protocol (protocol.hpp), the ordered navigation
-// (ordered.hpp) and the public facade (efrb_tree.hpp) are all written against
-// these types.
+// (ordered.hpp) and the public facade (tree_map.hpp via efrb_tree.hpp) are
+// all written against these types.
 //
 // Update-word packing (paper §3/§4.1): "The pointer to the Info record is
 // stored in the same memory word as the state. (In typical 32-bit word
@@ -135,6 +135,14 @@ struct TreeLayout {
 
   static_assert(alignof(IInfo) >= 4 && alignof(DInfo) >= 4,
                 "two low pointer bits must be free for the state tag");
+
+  // Node seam of the ordered walks (ordered.hpp): the kind test reads the
+  // immutable flag, so a walk loads exactly the child pointers it follows.
+  static bool is_internal(const Node* n) noexcept { return n->is_internal; }
+  static Node* child(const Node* n, bool right) noexcept {
+    const auto* in = static_cast<const Internal*>(n);
+    return (right ? in->right : in->left).load(std::memory_order_acquire);
+  }
 
   /// Postcondition bundle of the Search routine (paper lines 24-26).
   struct SearchResult {

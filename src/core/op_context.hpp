@@ -48,6 +48,10 @@ struct Unit {
 };
 }  // namespace detail
 
+/// Result of a core's insert machinery (shared by insert / insert_or_assign
+/// and by every tree core).
+enum class InsertOutcome { kInserted, kAssigned, kDuplicate };
+
 /// Relaxed per-structure operation counters, collected when
 /// Traits::kCountStats. The per-CasStep arrays give benchmarks a
 /// protocol-step breakdown (attempts and failed CAS per step of Fig. 4)

@@ -1,10 +1,12 @@
-// Layer 4 of the EFRB core: ordered navigation and traversal.
+// Layer 4 of the tree cores: ordered navigation and traversal.
 //
-// Free functions over a Layout (layout.hpp) and a BoundedCompare: min/max,
+// Free functions over a Layout and a BoundedCompare: min/max,
 // predecessor/successor bounds, range visits, whole-tree traversal and the
-// structural validator. All are read-only walks built from the degenerate
-// Searches in search.hpp; none touches the update protocol, which is why they
-// live outside protocol.hpp.
+// EFRB structural validator. All are read-only walks built from degenerate
+// Searches (leftmost_leaf / rightmost_leaf below); none touches an update
+// protocol, so one set of walks serves both the EFRB layout (layout.hpp) and
+// the chromatic layout (chromatic.hpp) through the node seam described at
+// the top of namespace ordered.
 //
 // Every function requires the caller to hold a pinned region on the tree's
 // reclaimer for the duration of the call (the facade and its handles do
@@ -28,8 +30,6 @@
 #include <vector>
 
 #include "core/bounded_key.hpp"
-#include "core/layout.hpp"
-#include "core/search.hpp"
 
 namespace efrb {
 
@@ -44,13 +44,45 @@ struct ValidationResult {
 
 namespace ordered {
 
+// The walks below ask two things of a node, through the Layout's node seam:
+// Layout::is_internal(n) and Layout::child(n, side). A leaf is read as a
+// `Layout::Leaf` (key and value); every other node only by key. The EFRB
+// layout answers from its immutable is_internal flag; the chromatic layout,
+// whose single node type serves both roles, from a null left child.
+inline constexpr bool kLeft = false;
+inline constexpr bool kRight = true;
+
+/// Leftmost leaf under `from`: Search for a key below every real key. The
+/// result is the subtree's minimum (possibly the ∞₁ sentinel on an empty
+/// tree).
+template <typename Layout>
+const typename Layout::Leaf* leftmost_leaf(const typename Layout::Node* from) {
+  const typename Layout::Node* m = from;
+  while (Layout::is_internal(m)) m = Layout::child(m, kLeft);
+  return static_cast<const typename Layout::Leaf*>(m);
+}
+
+/// Rightmost *real-keyed* leaf under `from`: Search for a virtual key lying
+/// strictly between every real key and ∞₁ — go right at real-keyed internals,
+/// left at sentinel-keyed ones (sentinels live on the rightmost spine only,
+/// Fig. 6). May still reach a sentinel leaf when the subtree holds no real
+/// keys; callers check is_real().
+template <typename Layout>
+const typename Layout::Leaf* rightmost_leaf(const typename Layout::Node* from) {
+  const typename Layout::Node* m = from;
+  while (Layout::is_internal(m)) {
+    m = Layout::child(m, m->key.is_real() ? kRight : kLeft);
+  }
+  return static_cast<const typename Layout::Leaf*>(m);
+}
+
 /// Smallest key, or nullopt when empty. Walking left edges is exactly
 /// Search(k) for a key below every real key, so the reached leaf was on that
 /// search path at some time during the walk (§5's search-path lemma), making
 /// the result linearizable like Find.
 template <typename Layout>
 std::optional<typename Layout::key_type> min_key(
-    typename Layout::Internal* root) {
+    const typename Layout::Node* root) {
   const auto* leaf = leftmost_leaf<Layout>(root);
   if (!leaf->key.is_real()) return std::nullopt;
   return leaf->key.key;
@@ -61,7 +93,7 @@ std::optional<typename Layout::key_type> min_key(
 /// search-path argument makes it linearizable.
 template <typename Layout>
 std::optional<typename Layout::key_type> max_key(
-    typename Layout::Internal* root) {
+    const typename Layout::Node* root) {
   const auto* leaf = rightmost_leaf<Layout>(root);
   if (!leaf->key.is_real()) return std::nullopt;
   return leaf->key.key;
@@ -75,26 +107,23 @@ std::optional<typename Layout::key_type> max_key(
 /// in the first subtree to the right of the search path).
 template <typename Layout, typename Cmp>
 std::optional<typename Layout::key_type> bound_up(
-    typename Layout::Internal* root, const Cmp& cmp,
+    const typename Layout::Node* root, const Cmp& cmp,
     const typename Layout::key_type& k, bool strict) {
-  using Internal = typename Layout::Internal;
   using Node = typename Layout::Node;
-  Node* l = root;
-  Node* last_right = nullptr;  // right sibling subtree of the search path
-  while (l->is_internal) {
-    auto* in = static_cast<Internal*>(l);
-    if (cmp.less(k, in->key)) {
-      last_right = in->right.load(std::memory_order_acquire);
-      l = in->left.load(std::memory_order_acquire);
+  const Node* l = root;
+  const Node* last_right = nullptr;  // right sibling subtree of the search path
+  while (Layout::is_internal(l)) {
+    if (cmp.less(k, l->key)) {
+      last_right = Layout::child(l, kRight);
+      l = Layout::child(l, kLeft);
     } else {
-      l = in->right.load(std::memory_order_acquire);
+      l = Layout::child(l, kRight);
     }
   }
-  const auto* leaf = static_cast<typename Layout::Leaf*>(l);
-  if (leaf->key.is_real()) {
-    const bool ge = !cmp.user_compare()(leaf->key.key, k);  // leaf >= k
-    const bool gt = cmp.user_compare()(k, leaf->key.key);   // leaf >  k
-    if (strict ? gt : ge) return leaf->key.key;
+  if (l->key.is_real()) {
+    const bool ge = !cmp.user_compare()(l->key.key, k);  // leaf >= k
+    const bool gt = cmp.user_compare()(k, l->key.key);   // leaf >  k
+    if (strict ? gt : ge) return l->key.key;
   }
   if (last_right == nullptr) return std::nullopt;
   // Minimum of the captured subtree: follow left edges.
@@ -109,26 +138,23 @@ std::optional<typename Layout::key_type> bound_up(
 /// for robustness.
 template <typename Layout, typename Cmp>
 std::optional<typename Layout::key_type> bound_down(
-    typename Layout::Internal* root, const Cmp& cmp,
+    const typename Layout::Node* root, const Cmp& cmp,
     const typename Layout::key_type& k, bool strict) {
-  using Internal = typename Layout::Internal;
   using Node = typename Layout::Node;
-  Node* l = root;
-  Node* last_left = nullptr;  // left sibling subtree of the search path
-  while (l->is_internal) {
-    auto* in = static_cast<Internal*>(l);
-    if (cmp.less(k, in->key)) {
-      l = in->left.load(std::memory_order_acquire);
+  const Node* l = root;
+  const Node* last_left = nullptr;  // left sibling subtree of the search path
+  while (Layout::is_internal(l)) {
+    if (cmp.less(k, l->key)) {
+      l = Layout::child(l, kLeft);
     } else {
-      last_left = in->left.load(std::memory_order_acquire);
-      l = in->right.load(std::memory_order_acquire);
+      last_left = Layout::child(l, kLeft);
+      l = Layout::child(l, kRight);
     }
   }
-  const auto* leaf = static_cast<typename Layout::Leaf*>(l);
-  if (leaf->key.is_real()) {
-    const bool le = !cmp.user_compare()(k, leaf->key.key);  // leaf <= k
-    const bool lt = cmp.user_compare()(leaf->key.key, k);   // leaf <  k
-    if (strict ? lt : le) return leaf->key.key;
+  if (l->key.is_real()) {
+    const bool le = !cmp.user_compare()(k, l->key.key);  // leaf <= k
+    const bool lt = cmp.user_compare()(l->key.key, k);   // leaf <  k
+    if (strict ? lt : le) return l->key.key;
   }
   if (last_left == nullptr) return std::nullopt;
   // Maximum of the captured subtree (rightmost_leaf handles the sentinel
@@ -143,28 +169,25 @@ std::optional<typename Layout::key_type> bound_down(
 /// path-shaped tree (the paper leaves balancing to future work, §6), so
 /// recursion depth would be O(n).
 template <typename Layout, typename Cmp, typename Fn>
-void range(typename Layout::Internal* root, const Cmp& cmp,
+void range(const typename Layout::Node* root, const Cmp& cmp,
            const typename Layout::key_type& lo,
            const typename Layout::key_type& hi, Fn&& fn) {
-  using Internal = typename Layout::Internal;
-  using Leaf = typename Layout::Leaf;
   using Node = typename Layout::Node;
   if (cmp.user_compare()(hi, lo)) return;  // empty interval
-  std::vector<Node*> stack{root};
+  std::vector<const Node*> stack{root};
   while (!stack.empty()) {
-    Node* n = stack.back();
+    const Node* n = stack.back();
     stack.pop_back();
-    if (n->is_internal) {
-      auto* in = static_cast<Internal*>(n);
-      // Left subtree holds keys < in->key: visit iff lo < in->key.
-      // Right subtree holds keys >= in->key: visit iff hi >= in->key.
-      const bool go_left = cmp.less(lo, in->key);
-      const bool go_right = !cmp.less(hi, in->key);
+    if (Layout::is_internal(n)) {
+      // Left subtree holds keys < n->key: visit iff lo < n->key.
+      // Right subtree holds keys >= n->key: visit iff hi >= n->key.
+      const bool go_left = cmp.less(lo, n->key);
+      const bool go_right = !cmp.less(hi, n->key);
       // Push right first so the left subtree pops first (in-order leaves).
-      if (go_right) stack.push_back(in->right.load(std::memory_order_acquire));
-      if (go_left) stack.push_back(in->left.load(std::memory_order_acquire));
+      if (go_right) stack.push_back(Layout::child(n, kRight));
+      if (go_left) stack.push_back(Layout::child(n, kLeft));
     } else {
-      auto* leaf = static_cast<Leaf*>(n);
+      const auto* leaf = static_cast<const typename Layout::Leaf*>(n);
       if (leaf->key.is_real() && !cmp.user_compare()(leaf->key.key, lo) &&
           !cmp.user_compare()(hi, leaf->key.key)) {
         fn(leaf->key.key, leaf->value);
@@ -173,35 +196,20 @@ void range(typename Layout::Internal* root, const Cmp& cmp,
   }
 }
 
-/// Number of keys in [lo, hi] (weakly consistent; exact at quiescence).
-template <typename Layout, typename Cmp>
-std::size_t count_range(typename Layout::Internal* root, const Cmp& cmp,
-                        const typename Layout::key_type& lo,
-                        const typename Layout::key_type& hi) {
-  std::size_t n = 0;
-  range<Layout>(root, cmp, lo, hi,
-                [&n](const typename Layout::key_type&,
-                     const typename Layout::mapped_type&) { ++n; });
-  return n;
-}
-
 /// Depth-first in-order visit of every real (key, value) pair under `start`.
 template <typename Layout, typename Fn>
-void for_each(typename Layout::Node* start, Fn&& fn) {
-  using Internal = typename Layout::Internal;
-  using Leaf = typename Layout::Leaf;
+void for_each(const typename Layout::Node* start, Fn&& fn) {
   using Node = typename Layout::Node;
-  std::vector<Node*> stack{start};
+  std::vector<const Node*> stack{start};
   while (!stack.empty()) {
-    Node* n = stack.back();
+    const Node* n = stack.back();
     stack.pop_back();
-    if (n->is_internal) {
-      auto* in = static_cast<Internal*>(n);
+    if (Layout::is_internal(n)) {
       // Right first so the left subtree pops first: in-order for leaves.
-      stack.push_back(in->right.load(std::memory_order_acquire));
-      stack.push_back(in->left.load(std::memory_order_acquire));
+      stack.push_back(Layout::child(n, kRight));
+      stack.push_back(Layout::child(n, kLeft));
     } else {
-      auto* leaf = static_cast<Leaf*>(n);
+      const auto* leaf = static_cast<const typename Layout::Leaf*>(n);
       if (leaf->key.is_real()) fn(leaf->key.key, leaf->value);
     }
   }

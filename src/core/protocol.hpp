@@ -51,13 +51,12 @@
 #include "core/bounded_key.hpp"
 #include "core/debug_hooks.hpp"
 #include "core/layout.hpp"
+#include "core/op_context.hpp"
+#include "core/ordered.hpp"
 #include "core/search.hpp"
 #include "util/assert.hpp"
 
 namespace efrb {
-
-/// Result of the insert machinery (shared by insert / insert_or_assign).
-enum class InsertOutcome { kInserted, kAssigned, kDuplicate };
 
 template <typename Key, typename Value, typename Compare, typename Traits,
           typename Ctx>
@@ -127,6 +126,12 @@ class TreeCore {
 
   const BoundedCompare<Key, Compare>& cmp() const noexcept { return cmp_; }
   Internal* root() const noexcept { return root_; }
+
+  /// Structural validation for tests (quiescent trees); see
+  /// ordered::validate.
+  ValidationResult validate() const {
+    return ordered::validate<Layout>(root_, cmp_);
+  }
 
   // ---------------- Search (lines 23-35) ----------------
 

@@ -1,15 +1,19 @@
 // Lifecycle and accounting tests for the per-thread operation Handle API:
 // slot/shard acquisition and release across thread churn, moved-from handle
-// semantics, and exact stats aggregation across cacheline-padded shards —
-// under both the epoch reclaimer and the grace-round hazard reclaimer.
+// semantics, the retry flag on both tree types, and exact stats aggregation
+// across cacheline-padded shards — under both the epoch reclaimer and the
+// grace-round hazard reclaimer.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <utility>
 #include <vector>
 
+#include "core/chromatic.hpp"
 #include "core/debug_hooks.hpp"
 #include "core/efrb_tree.hpp"
+#include "inject/fault_plan.hpp"
+#include "inject/fault_scheduler.hpp"
 #include "leak_check_opt_out.hpp"  // LeakyReclaimer cells leak by design
 #include "reclaim/hazard.hpp"
 #include "util/rng.hpp"
@@ -117,6 +121,59 @@ TEST(HandleTest, MoveAssignReleasesTargetResources) {
     b = std::move(a);     // must free b's original slot, not leak it
     ASSERT_TRUE(b.contains(i));
   }
+}
+
+// ---------------------------------------------------------------------------
+// last_op_retried(): one vetoed CAS (the fault scheduler's forced failure)
+// costs the op exactly one retry round. The flag reports it, travels with
+// the handle across a move, and clears on the next clean op — on both trees.
+// ---------------------------------------------------------------------------
+
+template <typename TreeT, CasStep kStep>
+struct RetryCase {
+  using Tree = TreeT;
+  static constexpr CasStep kVetoedStep = kStep;  // the first flag/freeze CAS
+};
+
+using RetryCases = ::testing::Types<
+    RetryCase<EfrbTreeSet<int, std::less<int>, EpochReclaimer,
+                          inject::InjectTraits>,
+              CasStep::kIFlag>,
+    RetryCase<ChromaticTreeSet<int, std::less<int>, EpochReclaimer,
+                               inject::InjectTraits>,
+              CasStep::kFreeze>>;
+
+template <typename Case>
+class HandleRetryTest : public ::testing::Test {};
+
+TYPED_TEST_SUITE(HandleRetryTest, RetryCases);
+
+TYPED_TEST(HandleRetryTest, LastOpRetriedReportsAndSurvivesMove) {
+  typename TypeParam::Tree t;
+  for (int k : {10, 30, 50}) ASSERT_TRUE(t.insert(k));
+
+  inject::FaultAction veto;
+  veto.kind = inject::FaultKind::kFailCas;
+  veto.step = static_cast<int>(TypeParam::kVetoedStep);
+  inject::FaultScheduler sched(inject::FaultPlan{{veto}});
+  const inject::FaultScheduler::ThreadScope scope(sched, 0);
+
+  auto h = t.handle();
+  ASSERT_TRUE(h.insert(20));  // vetoed first attempt, then a clean commit
+  ASSERT_EQ(sched.fired().size(), 1u);
+  EXPECT_TRUE(h.last_op_retried());
+
+  auto moved = std::move(h);
+  EXPECT_TRUE(moved.last_op_retried()) << "move construction dropped the flag";
+  typename TypeParam::Tree::Handle assigned;
+  assigned = std::move(moved);
+  EXPECT_TRUE(assigned.last_op_retried()) << "move assignment dropped the flag";
+
+  ASSERT_TRUE(assigned.insert(40));  // the veto is spent: no retry
+  EXPECT_FALSE(assigned.last_op_retried());
+  EXPECT_TRUE(assigned.contains(20));
+  EXPECT_FALSE(assigned.last_op_retried());
+  EXPECT_TRUE(t.validate().ok);
 }
 
 // ---------------------------------------------------------------------------

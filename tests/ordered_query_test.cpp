@@ -1,23 +1,65 @@
 // Ordered navigation: find_ge / find_gt / find_le / find_lt, range() and
 // count_range() — checked against std::set's lower_bound/upper_bound oracle
 // across randomized sweeps, plus weak-consistency smoke under concurrency.
+// Every suite is typed over both trees: the EFRB tree and the chromatic tree
+// share one set of ordered walks (core/ordered.hpp), read through each
+// layout's node seam.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "core/chromatic.hpp"
+#include "core/debug_hooks.hpp"
 #include "core/efrb_tree.hpp"
+#include "reclaim/epoch.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace efrb {
 namespace {
 
-using Tree = EfrbTreeSet<int>;
+// scripts/check.sh rebuilds this suite with -DEFRB_TEST_POOLED, so the walks
+// of both trees also run over ObjectPool nodes under ASan and TSan.
+#if defined(EFRB_TEST_POOLED)
+using TestTraits = PooledTraits;
+#else
+using TestTraits = NoopTraits;
+#endif
+
+using Trees = ::testing::Types<
+    EfrbTreeSet<int, std::less<int>, EpochReclaimer, TestTraits>,
+    ChromaticTreeSet<int, std::less<int>, EpochReclaimer, TestTraits>>;
+
+/// The map flavour of a set type: same tree policy, int values.
+template <typename Set>
+struct MapOf;
+template <typename Policy, typename Key, typename Compare, typename Reclaimer,
+          typename Traits>
+struct MapOf<TreeMap<Policy, Key, detail::Unit, Compare, Reclaimer, Traits>> {
+  using type = TreeMap<Policy, Key, int, Compare, Reclaimer, Traits>;
+};
+
+template <typename Tree>
+class OrderedQueryTest : public ::testing::Test {};
+TYPED_TEST_SUITE(OrderedQueryTest, Trees);
+
+template <typename Tree>
+class RangeQueryTest : public ::testing::Test {};
+TYPED_TEST_SUITE(RangeQueryTest, Trees);
+
+template <typename Tree>
+class OrderedQueryHandleTest : public ::testing::Test {};
+TYPED_TEST_SUITE(OrderedQueryHandleTest, Trees);
+
+template <typename Tree>
+class OrderedQueryConcurrentTest : public ::testing::Test {};
+TYPED_TEST_SUITE(OrderedQueryConcurrentTest, Trees);
 
 std::optional<int> oracle_ge(const std::set<int>& s, int k) {
   auto it = s.lower_bound(k);
@@ -40,8 +82,8 @@ std::optional<int> oracle_lt(const std::set<int>& s, int k) {
   return *std::prev(it);
 }
 
-TEST(OrderedQueryTest, EmptyTreeReturnsNullopt) {
-  Tree t;
+TYPED_TEST(OrderedQueryTest, EmptyTreeReturnsNullopt) {
+  TypeParam t;
   EXPECT_EQ(t.find_ge(5), std::nullopt);
   EXPECT_EQ(t.find_gt(5), std::nullopt);
   EXPECT_EQ(t.find_le(5), std::nullopt);
@@ -49,8 +91,8 @@ TEST(OrderedQueryTest, EmptyTreeReturnsNullopt) {
   EXPECT_EQ(t.count_range(0, 100), 0u);
 }
 
-TEST(OrderedQueryTest, SingleKeyBoundaries) {
-  Tree t;
+TYPED_TEST(OrderedQueryTest, SingleKeyBoundaries) {
+  TypeParam t;
   t.insert(10);
   EXPECT_EQ(t.find_ge(10), std::optional<int>(10));
   EXPECT_EQ(t.find_gt(10), std::nullopt);
@@ -62,8 +104,8 @@ TEST(OrderedQueryTest, SingleKeyBoundaries) {
   EXPECT_EQ(t.find_le(9), std::nullopt);
 }
 
-TEST(OrderedQueryTest, GapsAreBridged) {
-  Tree t;
+TYPED_TEST(OrderedQueryTest, GapsAreBridged) {
+  TypeParam t;
   for (int k : {10, 20, 30}) t.insert(k);
   EXPECT_EQ(t.find_ge(15), std::optional<int>(20));
   EXPECT_EQ(t.find_gt(20), std::optional<int>(30));
@@ -73,8 +115,8 @@ TEST(OrderedQueryTest, GapsAreBridged) {
   EXPECT_EQ(t.find_lt(10), std::nullopt);
 }
 
-TEST(OrderedQueryTest, BoundsBelowAllAndAboveAll) {
-  Tree t;
+TYPED_TEST(OrderedQueryTest, BoundsBelowAllAndAboveAll) {
+  TypeParam t;
   for (int k = 100; k <= 200; k += 10) t.insert(k);
   EXPECT_EQ(t.find_ge(-1000), std::optional<int>(100));
   EXPECT_EQ(t.find_le(1000), std::optional<int>(200));
@@ -82,44 +124,41 @@ TEST(OrderedQueryTest, BoundsBelowAllAndAboveAll) {
   EXPECT_EQ(t.find_lt(100), std::nullopt);
 }
 
-class OrderedQuerySweep : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(OrderedQuerySweep, AllFourBoundsMatchStdSet) {
-  const std::uint64_t seed = GetParam();
-  Tree t;
-  std::set<int> oracle;
-  Xoshiro256 rng(seed);
-  // Random population with churn, probing all four bounds continuously.
-  for (int i = 0; i < 4000; ++i) {
-    const int k = static_cast<int>(rng.next_below(512));
-    if (rng.next_below(3) == 0) {
-      t.erase(k);
-      oracle.erase(k);
-    } else {
-      t.insert(k);
-      oracle.insert(k);
+TYPED_TEST(OrderedQueryTest, AllFourBoundsMatchStdSet) {
+  for (const std::uint64_t seed : {1, 2, 3, 4, 5}) {
+    SCOPED_TRACE(seed);
+    TypeParam t;
+    std::set<int> oracle;
+    Xoshiro256 rng(seed);
+    // Random population with churn, probing all four bounds continuously.
+    for (int i = 0; i < 4000; ++i) {
+      const int k = static_cast<int>(rng.next_below(512));
+      if (rng.next_below(3) == 0) {
+        t.erase(k);
+        oracle.erase(k);
+      } else {
+        t.insert(k);
+        oracle.insert(k);
+      }
+      const int probe = static_cast<int>(rng.next_below(512));
+      ASSERT_EQ(t.find_ge(probe), oracle_ge(oracle, probe)) << "probe " << probe;
+      ASSERT_EQ(t.find_gt(probe), oracle_gt(oracle, probe)) << "probe " << probe;
+      ASSERT_EQ(t.find_le(probe), oracle_le(oracle, probe)) << "probe " << probe;
+      ASSERT_EQ(t.find_lt(probe), oracle_lt(oracle, probe)) << "probe " << probe;
     }
-    const int probe = static_cast<int>(rng.next_below(512));
-    ASSERT_EQ(t.find_ge(probe), oracle_ge(oracle, probe)) << "probe " << probe;
-    ASSERT_EQ(t.find_gt(probe), oracle_gt(oracle, probe)) << "probe " << probe;
-    ASSERT_EQ(t.find_le(probe), oracle_le(oracle, probe)) << "probe " << probe;
-    ASSERT_EQ(t.find_lt(probe), oracle_lt(oracle, probe)) << "probe " << probe;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, OrderedQuerySweep,
-                         ::testing::Values(1, 2, 3, 4, 5));
-
-TEST(RangeQueryTest, EmptyAndDegenerateIntervals) {
-  Tree t;
+TYPED_TEST(RangeQueryTest, EmptyAndDegenerateIntervals) {
+  TypeParam t;
   for (int k : {10, 20, 30}) t.insert(k);
   EXPECT_EQ(t.count_range(21, 29), 0u);
   EXPECT_EQ(t.count_range(20, 20), 1u);  // single point
   EXPECT_EQ(t.count_range(25, 15), 0u);  // inverted: empty by definition
 }
 
-TEST(RangeQueryTest, InclusiveBothEnds) {
-  Tree t;
+TYPED_TEST(RangeQueryTest, InclusiveBothEnds) {
+  TypeParam t;
   for (int k = 0; k < 100; ++k) t.insert(k);
   EXPECT_EQ(t.count_range(10, 19), 10u);
   EXPECT_EQ(t.count_range(0, 99), 100u);
@@ -127,16 +166,16 @@ TEST(RangeQueryTest, InclusiveBothEnds) {
   EXPECT_EQ(t.count_range(95, 200), 5u);
 }
 
-TEST(RangeQueryTest, VisitsInOrderWithValues) {
-  EfrbTreeMap<int, int> m;
+TYPED_TEST(RangeQueryTest, VisitsInOrderWithValues) {
+  typename MapOf<TypeParam>::type m;
   for (int k : {5, 1, 9, 3, 7}) m.insert(k, k * 10);
   std::vector<std::pair<int, int>> seen;
   m.range(2, 8, [&](const int& k, const int& v) { seen.emplace_back(k, v); });
   EXPECT_EQ(seen, (std::vector<std::pair<int, int>>{{3, 30}, {5, 50}, {7, 70}}));
 }
 
-TEST(RangeQueryTest, MatchesOracleOnRandomSets) {
-  Tree t;
+TYPED_TEST(RangeQueryTest, MatchesOracleOnRandomSets) {
+  TypeParam t;
   std::set<int> oracle;
   Xoshiro256 rng(99);
   for (int i = 0; i < 2000; ++i) {
@@ -154,10 +193,10 @@ TEST(RangeQueryTest, MatchesOracleOnRandomSets) {
   }
 }
 
-TEST(RangeQueryTest, PruningSkipsSentinelSpine) {
+TYPED_TEST(RangeQueryTest, PruningSkipsSentinelSpine) {
   // A range query touching the top of the key space must not visit the ∞
   // sentinels (they would appear as garbage keys if ever reported).
-  Tree t;
+  TypeParam t;
   t.insert(INT32_MAX);
   t.insert(INT32_MAX - 1);
   std::vector<int> seen;
@@ -171,8 +210,8 @@ TEST(RangeQueryTest, PruningSkipsSentinelSpine) {
 // through the handle's attachment instead of the thread_local lease).
 // ---------------------------------------------------------------------------
 
-TEST(OrderedQueryHandleTest, AllQueriesMatchTreeLevel) {
-  Tree t;
+TYPED_TEST(OrderedQueryHandleTest, AllQueriesMatchTreeLevel) {
+  TypeParam t;
   auto h = t.handle();
   for (int k : {10, 20, 30, 40}) ASSERT_TRUE(h.insert(k));
   EXPECT_EQ(h.min_key(), std::optional<int>(10));
@@ -191,8 +230,8 @@ TEST(OrderedQueryHandleTest, AllQueriesMatchTreeLevel) {
   EXPECT_EQ(all, (std::vector<int>{10, 20, 30, 40}));
 }
 
-TEST(OrderedQueryHandleTest, SweepMatchesStdSetOracle) {
-  Tree t;
+TYPED_TEST(OrderedQueryHandleTest, SweepMatchesStdSetOracle) {
+  TypeParam t;
   auto h = t.handle();
   std::set<int> oracle;
   Xoshiro256 rng(21);
@@ -219,11 +258,11 @@ TEST(OrderedQueryHandleTest, SweepMatchesStdSetOracle) {
   }
 }
 
-TEST(OrderedQueryHandleTest, MovedFromHandleStaysUsableAfterMoveTarget) {
-  Tree t;
+TYPED_TEST(OrderedQueryHandleTest, MovedFromHandleStaysUsableAfterMoveTarget) {
+  TypeParam t;
   auto h1 = t.handle();
   ASSERT_TRUE(h1.insert(5));
-  Tree::Handle h2 = std::move(h1);
+  typename TypeParam::Handle h2 = std::move(h1);
   EXPECT_TRUE(h2.valid());
   EXPECT_EQ(h2.min_key(), std::optional<int>(5));
   EXPECT_EQ(h2.count_range(0, 10), 1u);
@@ -241,13 +280,13 @@ struct StopOnExit {
   ~StopOnExit() { stop.store(true); }
 };
 
-TEST(OrderedQueryConcurrentTest, StableRegionIsAlwaysReported) {
+TYPED_TEST(OrderedQueryConcurrentTest, StableRegionIsAlwaysReported) {
   // Keys 1000..1009 are permanent; churn happens strictly below 900. Queries
   // probing from WITHIN the quiet gap (900, 1000) or above the stable region
   // must see exactly the stable keys. (A probe from below the churn region,
   // e.g. find_ge(600), could legitimately return a transiently present churn
   // key — that is the documented weak consistency, not a bug.)
-  Tree t;
+  TypeParam t;
   for (int k = 1000; k < 1010; ++k) t.insert(k);
   std::atomic<bool> stop{false};
   run_threads(4, [&](std::size_t tid) {
@@ -278,10 +317,10 @@ TEST(OrderedQueryConcurrentTest, StableRegionIsAlwaysReported) {
   EXPECT_TRUE(t.validate().ok);
 }
 
-TEST(OrderedQueryConcurrentTest, BoundsNeverInventKeys) {
+TYPED_TEST(OrderedQueryConcurrentTest, BoundsNeverInventKeys) {
   // Churn over even keys only; bounds must never report an odd key (odd keys
   // are never inserted), and reported keys must lie on the queried side.
-  Tree t;
+  TypeParam t;
   std::atomic<bool> stop{false};
   run_threads(3, [&](std::size_t tid) {
     if (tid == 0) {
@@ -310,10 +349,10 @@ TEST(OrderedQueryConcurrentTest, BoundsNeverInventKeys) {
   EXPECT_TRUE(t.validate().ok);
 }
 
-TEST(OrderedQueryConcurrentTest, HandleQueriesUnderChurn) {
+TYPED_TEST(OrderedQueryConcurrentTest, HandleQueriesUnderChurn) {
   // Same stable-region argument as above, but every thread — reader and
   // churners alike — drives the tree through its own Handle.
-  Tree t;
+  TypeParam t;
   for (int k = 1000; k < 1010; ++k) t.insert(k);
   std::atomic<bool> stop{false};
   run_threads(4, [&](std::size_t tid) {

@@ -35,6 +35,12 @@ for b in build/bench/*; do
   fi
 done
 
+echo "=== perfbench smoke (every workload's ledger, validate() and scan checks) ==="
+# Builds perfbench/ into .bench_build (or $CARGO_TARGET_DIR) and runs each
+# workload untraced and traced on shrunken inputs; exits nonzero on any
+# failed op, failed check or missing metric.
+run python3 perfbench/run.py --smoke
+
 echo "=== tools ==="
 run ./build/tools/stress_tool --seconds 1 > /dev/null
 run ./build/tools/fuzz_lincheck --seconds 2 > /dev/null
@@ -374,9 +380,10 @@ if [[ "$FAST" == "0" ]]; then
   run ./build-tsan-pooled/tests/alloc_test --gtest_color=no \
       --gtest_filter='-BlockPoolDeathTest.*'  # fork-based death test under TSan is unreliable
   run ./build-tsan-pooled/tests/core_concurrent_test --gtest_color=no
-  # A/B gate: the redesigned default (pooled + lean find) must not regress
-  # below the heap baseline on the uniform read-mostly cell (E1c). Summed
-  # over thread counts to average scheduler noise.
+  # A/B gate: the opt-in pooled allocator (Traits::kPooledAlloc, with the
+  # lean find) must not regress below the heap baseline on the uniform
+  # read-mostly cell (E1c); the default configuration is heap + lean find.
+  # Summed over thread counts to average scheduler noise.
   EFRB_BENCH_MS="${EFRB_ALLOC_GATE_MS:-60}" run ./build/bench/bench_throughput \
       --json build/alloc_gate.json > /dev/null
   python3 - <<'EOF'
@@ -396,8 +403,8 @@ assert pool_lean >= 0.95 * heap_lean, (
     f'pooled allocation regressed below the heap baseline on the same read '
     f'path: {pool_lean:.2f} < 0.95 * {heap_lean:.2f}')
 assert pool_lean >= 0.95 * heap_full, (
-    f'redesigned default (pooled+lean) lost to the pre-redesign baseline '
-    f'(heap+fullsearch): {pool_lean:.2f} < 0.95 * {heap_full:.2f}')
+    f'pooled allocation (pooled+lean) lost to the full-Search heap '
+    f'baseline (heap+fullsearch): {pool_lean:.2f} < 0.95 * {heap_full:.2f}')
 print('alloc gate OK')
 EOF
 

@@ -80,7 +80,6 @@
 #include "core/tree_map.hpp"
 #include "reclaim/epoch.hpp"
 #include "util/assert.hpp"
-#include "util/cacheline.hpp"
 
 namespace efrb {
 
@@ -167,7 +166,7 @@ struct ChromaticLayout {
   using mapped_type = Value;
   using BKey = BoundedKey<Key>;
 
-  struct alignas(kCacheLineSize) Node {
+  struct Node {
     const BKey key;
     [[no_unique_address]] Value value;  // meaningful in leaves only
     const std::int32_t weight;          // 0 = red, 1 = black, >= 2 overweight
@@ -183,6 +182,10 @@ struct ChromaticLayout {
   using Word = ScxWord<Node>;
 
   static_assert(ScxNode<Node>);
+  static_assert(heap_native<Node> && heap_native<Rec>,
+                "plain new must not take the aligned allocation path");
+  static_assert(alignof(Rec) >= 4,
+                "two low pointer bits must be free for the mark tag");
 
   // Node seam of the ordered walks (ordered.hpp): one type plays both roles,
   // and a node is internal iff its (stable) left child is non-null.

@@ -29,7 +29,6 @@
 #include "core/debug_hooks.hpp"
 #include "core/llx_scx.hpp"
 #include "util/assert.hpp"
-#include "util/cacheline.hpp"
 
 namespace efrb {
 
@@ -53,9 +52,8 @@ struct Info {
   /// written by the creator *before* the record's publishing CAS and read by
   /// helpers only after an acquire load of the update word that published it
   /// — so a plain (non-atomic) word is race-free. Stays kNoOwner unless the
-  /// instantiating Traits enable kCausalTrace (core/debug_hooks.hpp); both
-  /// concrete Info records are cache-line aligned, so the word rides in
-  /// existing padding.
+  /// instantiating Traits enable kCausalTrace (core/debug_hooks.hpp). The
+  /// word costs 8 bytes in every record whether or not causal tracing is on.
   std::uint64_t owner = kNoOwner;
   virtual ~Info() = default;
 };
@@ -98,15 +96,14 @@ struct TreeLayout {
     Leaf(BKey k, Value v) : Node(std::move(k), false), value(std::move(v)) {}
   };
 
-  // Cache-line alignment of the hot mutable types: an Internal's update word
-  // and child pointers are the CAS/coherence hot spots of the whole protocol;
-  // giving each Internal (and each in-flight Info record) a private line
-  // stops unrelated operations from false-sharing through the allocator's
-  // packing. Leaves stay compact — they are immutable after publication, so
-  // sharing a line costs read-side traffic only. (The pooled allocator hands
-  // out whole-line blocks regardless; the alignas makes the layout guarantee
-  // hold for heap allocation too.)
-  struct alignas(kCacheLineSize) Internal final : Node {
+  // No type here asks for more than its natural alignment: an over-aligned
+  // type sends every heap `new` down the allocator's aligned path, which
+  // bypasses the per-thread cache, takes the arena lock and pads each node
+  // to a full line. Measured against 64-byte alignment, natural alignment
+  // made every perfbench workload faster (update-small +30% ops/s) and every
+  // node smaller (bytes_per_key -21%); see EXPERIMENTS.md (E8). The pooled
+  // allocator still hands out whole-line blocks.
+  struct Internal final : Node {
     AtomicUpdate update;  // lines 2-5: (state, Info*) in one CAS word
     std::atomic<Node*> left;
     std::atomic<Node*> right;
@@ -116,7 +113,7 @@ struct TreeLayout {
 
   // lines 12-14. new_node is Node* (not Internal*) to support the
   // insert_or_assign extension, which installs a replacement Leaf.
-  struct alignas(kCacheLineSize) IInfo final : Info {
+  struct IInfo final : Info {
     Internal* p;
     Leaf* l;
     Node* new_node;
@@ -124,7 +121,7 @@ struct TreeLayout {
   };
 
   // lines 15-18
-  struct alignas(kCacheLineSize) DInfo final : Info {
+  struct DInfo final : Info {
     Internal* gp;
     Internal* p;
     Leaf* l;
@@ -135,6 +132,9 @@ struct TreeLayout {
 
   static_assert(alignof(IInfo) >= 4 && alignof(DInfo) >= 4,
                 "two low pointer bits must be free for the state tag");
+  static_assert(heap_native<Leaf> && heap_native<Internal> &&
+                    heap_native<IInfo> && heap_native<DInfo>,
+                "plain new must not take the aligned allocation path");
 
   // Node seam of the ordered walks (ordered.hpp): the kind test reads the
   // immutable flag, so a walk loads exactly the child pointers it follows.

@@ -61,13 +61,18 @@
 
 #include "core/debug_hooks.hpp"
 #include "util/assert.hpp"
-#include "util/cacheline.hpp"
 
 namespace efrb {
 
 // ---------------------------------------------------------------------------
 // The shared tagged-word seam.
 // ---------------------------------------------------------------------------
+
+/// True when plain `new T` takes the allocator's ordinary path. Every node and
+/// record type of both trees asserts it (why: the note in core/layout.hpp).
+template <typename T>
+inline constexpr bool heap_native =
+    alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__;
 
 /// Immutable snapshot of an info word: (state tag, record pointer) packed
 /// into one CAS word. StateT is an enum whose numeric values fit in the two
@@ -177,7 +182,7 @@ using AtomicScxWord = AtomicInfoWord<ScxWord<Node>>;
 /// never been linked into the structure before — the child swing's
 /// ABA-freedom depends on it (see the note in help_scx()).
 template <typename Node>
-struct alignas(kCacheLineSize) ScxRecordOf {
+struct ScxRecordOf {
   static constexpr std::size_t kMaxNodes = 4;
 
   Node* nodes[kMaxNodes] = {};

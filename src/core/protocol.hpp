@@ -200,20 +200,25 @@ class TreeCore {
   /// pointer from the old leaf to a fresh leaf with the same key (ichild),
   /// unflag. Every proof obligation is preserved: the child CAS still
   /// installs a never-before-seen node on the correct side.
+  /// The new leaf (line 45) is made only once a flag attempt needs it and is
+  /// reused across retries, so a duplicate insert allocates nothing.
   InsertOutcome insert(const Key& k, Value v, bool assign_if_present,
                        Ctx& ctx) {
-    Leaf* new_leaf;
-    {
-      hooks::PhaseScope<Traits> alloc_phase(Phase::kPoolAlloc, ctx.tid());
-      new_leaf = ctx.template make<Leaf>(BKey::real(k), std::move(v));  // line 45
-    }
+    Leaf* new_leaf = nullptr;  // line 45, deferred
+    auto leaf = [&]() -> Leaf* {
+      if (new_leaf == nullptr) {
+        hooks::PhaseScope<Traits> alloc_phase(Phase::kPoolAlloc, ctx.tid());
+        new_leaf = ctx.template make<Leaf>(BKey::real(k), std::move(v));
+      }
+      return new_leaf;
+    };
     ctx.begin_op();
     for (;;) {
       const SearchResult s = search(k, ctx);  // line 49
       hooks::emit_at<Traits>(HookPoint::kAfterSearch, ctx.tid(), ctx.op_key());
       if (cmp_.equals(k, s.l->key)) {  // line 50: duplicate key
         if (!assign_if_present) {
-          ctx.dispose(new_leaf);  // never published
+          ctx.dispose(new_leaf);  // never published (may still be null)
           ctx.end_op();
           return InsertOutcome::kDuplicate;
         }
@@ -227,7 +232,7 @@ class TreeCore {
           ctx.retry_pause();
           continue;
         }
-        if (try_install(s, new_leaf, ctx)) {
+        if (try_install(s, leaf(), ctx)) {
           ctx.end_op();
           return InsertOutcome::kAssigned;
         }
@@ -243,15 +248,16 @@ class TreeCore {
       }
       // lines 53-54: build the replacement subtree. The new internal node's
       // key is max(k, l->key); the leaf with the smaller key goes left.
+      Leaf* mine = leaf();
       Leaf* new_sibling;
       Internal* new_internal;
       {
         hooks::PhaseScope<Traits> alloc_phase(Phase::kPoolAlloc, ctx.tid());
         new_sibling = ctx.template make<Leaf>(s.l->key, s.l->value);
         if (cmp_.less(k, s.l->key)) {
-          new_internal = ctx.template make<Internal>(s.l->key, new_leaf, new_sibling);
+          new_internal = ctx.template make<Internal>(s.l->key, mine, new_sibling);
         } else {
-          new_internal = ctx.template make<Internal>(BKey::real(k), new_sibling, new_leaf);
+          new_internal = ctx.template make<Internal>(BKey::real(k), new_sibling, mine);
         }
       }
       if (try_install(s, new_internal, ctx)) {

@@ -3,8 +3,12 @@
 // a single word."
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
+#include <vector>
 
+#include "core/chromatic.hpp"
 #include "core/layout.hpp"
 
 namespace efrb {
@@ -107,6 +111,70 @@ TEST(AtomicUpdateTest, CasDistinguishesSameInfoDifferentState) {
   Update right = Update::make(UpdateState::kIFlag, &op);
   EXPECT_TRUE(au.compare_exchange(right, Update::make(UpdateState::kClean, &op)));
   EXPECT_EQ(au.load(), Update::make(UpdateState::kClean, &op));
+}
+
+// ---------------------------------------------------------------------------
+// Heap layout: every node and record type is allocated by plain `new`, which
+// takes the allocator's aligned path (no per-thread cache, per-object
+// padding) for any type aligned above the default new alignment.
+// ---------------------------------------------------------------------------
+
+using EfrbLayout = TreeLayout<std::uint64_t, std::uint64_t>;
+using ChromLayout = ChromaticLayout<std::uint64_t, std::uint64_t>;
+constexpr std::size_t kNewAlign = __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+
+TEST(HeapLayoutTest, NoTypeIsOverAligned) {
+  EXPECT_LE(alignof(EfrbLayout::Leaf), kNewAlign);
+  EXPECT_LE(alignof(EfrbLayout::Internal), kNewAlign);
+  EXPECT_LE(alignof(EfrbLayout::IInfo), kNewAlign);
+  EXPECT_LE(alignof(EfrbLayout::DInfo), kNewAlign);
+  EXPECT_LE(alignof(ChromLayout::Node), kNewAlign);
+  EXPECT_LE(alignof(ChromLayout::Rec), kNewAlign);
+}
+
+TEST(HeapLayoutTest, EfrbNodesAreUnpadded) {
+  // For <uint64_t, uint64_t>: a 24 B node header (16 B bounded key + kind
+  // flag), then the update word and two children (Internal) or the value
+  // (Leaf), with no padding beyond natural alignment.
+  EXPECT_LE(sizeof(EfrbLayout::Internal), 48u);
+  EXPECT_LE(sizeof(EfrbLayout::Leaf), 32u);
+}
+
+TEST(HeapLayoutTest, HeapRecordsLeaveTagBitsFree) {
+  // Odd-sized allocations between the records perturb the allocator's
+  // placement; every record address must still have its two low bits clear.
+  constexpr int kRounds = 10000;
+  std::vector<void*> odd;
+  std::vector<EfrbLayout::IInfo*> iinfos;
+  std::vector<EfrbLayout::DInfo*> dinfos;
+  std::vector<ChromLayout::Rec*> recs;
+  auto tag_bits = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) & 0x3;
+  };
+  std::size_t dirty = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    odd.push_back(::operator new(1 + 2 * static_cast<std::size_t>(i % 37)));
+    switch (i % 3) {
+      case 0:
+        iinfos.push_back(new EfrbLayout::IInfo(nullptr, nullptr, nullptr));
+        dirty += tag_bits(iinfos.back()) != 0;
+        break;
+      case 1:
+        dinfos.push_back(
+            new EfrbLayout::DInfo(nullptr, nullptr, nullptr, Update{}));
+        dirty += tag_bits(dinfos.back()) != 0;
+        break;
+      default:
+        recs.push_back(new ChromLayout::Rec);
+        dirty += tag_bits(recs.back()) != 0;
+        break;
+    }
+  }
+  EXPECT_EQ(dirty, 0u);
+  for (void* p : odd) ::operator delete(p);
+  for (auto* p : iinfos) delete p;
+  for (auto* p : dinfos) delete p;
+  for (auto* p : recs) delete p;
 }
 
 }  // namespace

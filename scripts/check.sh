@@ -13,20 +13,20 @@ FAST=0
 run() { echo "+ $*"; "$@"; }
 
 echo "=== plain build + tests ==="
-run cmake -B build -G Ninja
-run cmake --build build
-run ctest --test-dir build --output-on-failure
+run cmake -B build-check -G Ninja
+run cmake --build build-check
+run ctest --test-dir build-check --output-on-failure
 
 echo "=== header self-containment (each src/ header as a standalone TU) ==="
-run cmake --build build --target header_selfcontained
+run cmake --build build-check --target header_selfcontained
 
 echo "=== examples ==="
 for ex in quickstart kv_cache order_book adversarial_find; do
-  run "./build/examples/${ex}" > /dev/null
+  run "./build-check/examples/${ex}" > /dev/null
 done
 
 echo "=== bench smoke (short cells) ==="
-for b in build/bench/*; do
+for b in build-check/bench/*; do
   [[ -x "$b" && ! -d "$b" ]] || continue
   if [[ "$b" == *bench_latency* ]]; then
     run "$b" --benchmark_min_time=0.01 > /dev/null
@@ -42,21 +42,21 @@ echo "=== perfbench smoke (every workload's ledger, validate() and scan checks) 
 run python3 perfbench/run.py --smoke
 
 echo "=== tools ==="
-run ./build/tools/stress_tool --seconds 1 > /dev/null
-run ./build/tools/fuzz_lincheck --seconds 2 > /dev/null
+run ./build-check/tools/stress_tool --seconds 1 > /dev/null
+run ./build-check/tools/fuzz_lincheck --seconds 2 > /dev/null
 
 echo "=== observability: metrics + trace export round-trip ==="
 # obs_probe runs a traced, latency-sampled workload and writes both machine-
 # readable artifacts; both must parse as JSON and carry the schema the docs
 # promise (docs/OBSERVABILITY.md).
-run ./build/tools/obs_probe --metrics build/obs_metrics.json \
-    --trace build/obs_trace.json --prom build/obs_probe.prom \
+run ./build-check/tools/obs_probe --metrics build-check/obs_metrics.json \
+    --trace build-check/obs_trace.json --prom build-check/obs_probe.prom \
     --duration 60 --interval 10 > /dev/null
-run python3 -m json.tool build/obs_metrics.json /dev/null
-run python3 -m json.tool build/obs_trace.json /dev/null
+run python3 -m json.tool build-check/obs_metrics.json /dev/null
+run python3 -m json.tool build-check/obs_trace.json /dev/null
 python3 - <<'EOF'
 import json
-m = json.load(open('build/obs_metrics.json'))
+m = json.load(open('build-check/obs_metrics.json'))
 for k in ('schema', 'schema_version', 'tool', 'cells'):
     assert k in m, f'metrics missing {k}'
 assert m['schema'] == 'efrb-metrics' and m['schema_version'] == 4, m['schema']
@@ -96,7 +96,7 @@ for k in ('key_range', 'buckets', 'dropped', 'strip', 'cells'):
     assert k in hm, f'heatmap missing {k}'
 assert len(hm['cells']) == hm['buckets'], 'heatmap cell count != buckets'
 assert sum(c[0] for c in hm['cells']) > 0, 'heatmap recorded no attempts'
-t = json.load(open('build/obs_trace.json'))
+t = json.load(open('build-check/obs_trace.json'))
 assert t.get('traceEvents'), 'trace has no events'
 phases = {e['ph'] for e in t['traceEvents']}
 assert 'B' in phases and 'E' in phases, f'no spans in trace: {phases}'
@@ -106,14 +106,14 @@ EOF
 # The shared --json flag must work in every bench binary; smoke the heaviest.
 # EFRB_BENCH_SEED pins the op/key streams so the fixed-op shard/balance cells
 # in this document are reproducible inputs for the gates below.
-EFRB_BENCH_MS=20 EFRB_BENCH_SEED=1234 run ./build/bench/bench_throughput \
-    --json build/bench_throughput_smoke.json > /dev/null
-run python3 -m json.tool build/bench_throughput_smoke.json /dev/null
+EFRB_BENCH_MS=20 EFRB_BENCH_SEED=1234 run ./build-check/bench/bench_throughput \
+    --json build-check/bench_throughput_smoke.json > /dev/null
+run python3 -m json.tool build-check/bench_throughput_smoke.json /dev/null
 # The sharded front end's `sharding` cell (metrics v2): balance report +
 # per-shard reclaimer gauges, shape per docs/OBSERVABILITY.md.
 python3 - <<'EOF'
 import json
-cells = json.load(open('build/bench_throughput_smoke.json'))['cells']
+cells = json.load(open('build-check/bench_throughput_smoke.json'))['cells']
 shard_cells = [c for c in cells if 'sharding' in c]
 assert shard_cells, 'no cell carries a sharding section'
 sh = shard_cells[0]['sharding']
@@ -135,31 +135,31 @@ echo "=== continuous telemetry: efrb_top headless + Prometheus exposition ==="
 # efrb_top --once renders a single plain frame (no escape codes) after the
 # run — the headless CI path. The frame must carry the windowed-rate table,
 # the heatmap strip, and the reclaim gauge line.
-run ./build/tools/efrb_top --once --ms 80 --interval 10 --threads 2 \
-    > build/efrb_top_once.txt
+run ./build-check/tools/efrb_top --once --ms 80 --interval 10 --threads 2 \
+    > build-check/efrb_top_once.txt
 for needle in 'ops/s' 'cas fail %' 'backlog slope' 'heatmap' 'reclaim' \
     'causal' 'stalls' 'poller samples' 'latency' 'saturated=' 'profile' \
     'descent' 'cas_protocol'; do
-  grep -q "$needle" build/efrb_top_once.txt \
+  grep -q "$needle" build-check/efrb_top_once.txt \
     || { echo "efrb_top --once output missing '$needle'"; exit 1; }
 done
 # No live-mode escape codes may leak into the --once path.
-if grep -q $'\x1b' build/efrb_top_once.txt; then
+if grep -q $'\x1b' build-check/efrb_top_once.txt; then
   echo "efrb_top --once emitted ANSI escapes"; exit 1
 fi
 # --shards N adds the per-shard row (load share + per-shard reclaimer gauges)
 # under the same frame; the table and the balance summary line must render.
-run ./build/tools/efrb_top --once --ms 80 --interval 10 --threads 2 \
-    --shards 4 > build/efrb_top_shards.txt
+run ./build-check/tools/efrb_top --once --ms 80 --interval 10 --threads 2 \
+    --shards 4 > build-check/efrb_top_shards.txt
 for needle in 'shards' 'imbalance' 'load %' 'backlog' 'orphans' \
     'poller samples'; do
-  grep -q "$needle" build/efrb_top_shards.txt \
+  grep -q "$needle" build-check/efrb_top_shards.txt \
     || { echo "efrb_top --shards output missing '$needle'"; exit 1; }
 done
 # The shared --prom flag writes Prometheus text exposition; lint it line by
 # line against the exposition-format grammar (docs/OBSERVABILITY.md).
-EFRB_BENCH_MS=20 run ./build/bench/bench_throughput \
-    --prom build/bench_throughput_smoke.prom > /dev/null
+EFRB_BENCH_MS=20 run ./build-check/bench/bench_throughput \
+    --prom build-check/bench_throughput_smoke.prom > /dev/null
 python3 - <<'EOF'
 import re
 NAME = r'[a-zA-Z_:][a-zA-Z0-9_:]*'
@@ -168,7 +168,7 @@ sample_re = re.compile(rf'^({NAME})(?:\{{{LABEL}(?:,{LABEL})*\}})? (\S+)$')
 help_re = re.compile(rf'^# HELP ({NAME}) \S.*$')
 type_re = re.compile(rf'^# TYPE ({NAME}) (counter|gauge)$')
 typed, samples, pending_help = set(), 0, None
-for ln, line in enumerate(open('build/bench_throughput_smoke.prom'), 1):
+for ln, line in enumerate(open('build-check/bench_throughput_smoke.prom'), 1):
     line = line.rstrip('\n')
     if not line:
         continue
@@ -202,7 +202,7 @@ EOF
 for needle in efrb_help_given_total efrb_help_received_total \
     efrb_help_unattributed_total efrb_stalled_ops efrb_stall_events_total \
     efrb_latency_count; do
-  grep -q "^# TYPE $needle " build/obs_probe.prom \
+  grep -q "^# TYPE $needle " build-check/obs_probe.prom \
     || { echo "obs_probe prom missing $needle"; exit 1; }
 done
 
@@ -211,11 +211,11 @@ echo "=== profile: phase attribution + hardware-counter fallback ==="
 # counter groups; the v4 `profile` cell must carry the attribution totals
 # with the phase-sum invariant, and the hw/sw/derived sections must follow
 # the absent-not-zero rule in whichever availability tier this host lands.
-run ./build/tools/obs_probe --profile --metrics build/obs_profile.json \
-    --prom build/obs_profile.prom --duration 60 --interval 10 > /dev/null
+run ./build-check/tools/obs_probe --profile --metrics build-check/obs_profile.json \
+    --prom build-check/obs_profile.prom --duration 60 --interval 10 > /dev/null
 python3 - <<'EOF'
 import json
-m = json.load(open('build/obs_profile.json'))
+m = json.load(open('build-check/obs_profile.json'))
 assert m['schema_version'] == 4, m['schema_version']
 p = m['cells'][0]['profile']
 for k in ('available', 'sw_available', 'source', 'paranoid', 'ops', 'cycles',
@@ -248,17 +248,17 @@ for needle in efrb_profile_available efrb_profile_ops_total \
     efrb_profile_cycles_total efrb_profile_cycles_per_op \
     efrb_profile_phase_cycles_total efrb_profile_phase_enters_total \
     efrb_profile_phase_share; do
-  grep -q "^# TYPE $needle " build/obs_profile.prom \
+  grep -q "^# TYPE $needle " build-check/obs_profile.prom \
     || { echo "profile prom missing $needle"; exit 1; }
 done
 # The kill switch forces the cycle-stamp fallback on ANY host: the same
 # command must still succeed, with available=false, an explanation, and no
 # hw/sw/derived sections (absent, never zero-filled).
-EFRB_PERFCTR_DISABLE=1 run ./build/tools/obs_probe --profile \
-    --metrics build/obs_profile_fallback.json --duration 40 > /dev/null
+EFRB_PERFCTR_DISABLE=1 run ./build-check/tools/obs_probe --profile \
+    --metrics build-check/obs_profile_fallback.json --duration 40 > /dev/null
 python3 - <<'EOF'
 import json
-p = json.load(open('build/obs_profile_fallback.json'))['cells'][0]['profile']
+p = json.load(open('build-check/obs_profile_fallback.json'))['cells'][0]['profile']
 assert p['available'] is False and p['sw_available'] is False
 assert 'hw' not in p and 'sw' not in p and 'derived' not in p
 assert 'EFRB_PERFCTR_DISABLE' in p['unavailable_reason'], \
@@ -269,7 +269,7 @@ EOF
 
 echo "=== perfdiff: snapshot regression pipeline ==="
 # Identity: a snapshot diffed against itself must compare clean (exit 0).
-run ./build/tools/efrb_perfdiff BENCH_throughput.json BENCH_throughput.json \
+run ./build-check/tools/efrb_perfdiff BENCH_throughput.json BENCH_throughput.json \
     > /dev/null
 # Sensitivity: a doctored copy with every throughput halved must be flagged
 # (exit 1) and rendered as REGRESSED rows.
@@ -278,37 +278,37 @@ import json
 doc = json.load(open('BENCH_throughput.json'))
 for c in doc['cells']:
     c['result']['mops'] /= 2.0
-json.dump(doc, open('build/bench_doctored.json', 'w'))
+json.dump(doc, open('build-check/bench_doctored.json', 'w'))
 EOF
 set +e
-./build/tools/efrb_perfdiff BENCH_throughput.json build/bench_doctored.json \
-    > build/perfdiff_doctored.txt
+./build-check/tools/efrb_perfdiff BENCH_throughput.json build-check/bench_doctored.json \
+    > build-check/perfdiff_doctored.txt
 diff_rc=$?
 set -e
 [[ "$diff_rc" -eq 1 ]] \
   || { echo "perfdiff missed the doctored 2x regression (exit $diff_rc)"; exit 1; }
-grep -q 'REGRESSED' build/perfdiff_doctored.txt \
+grep -q 'REGRESSED' build-check/perfdiff_doctored.txt \
   || { echo "perfdiff table has no REGRESSED rows"; exit 1; }
 # Drift vs the checked-in snapshot (advisory): the smoke run above uses
 # short 20 ms cells and may come from a different machine than the archived
 # snapshot, so a swing only warns; EFRB_PERFDIFF_STRICT=1 enforces it.
 set +e
-./build/tools/efrb_perfdiff --allow-cross-host \
-    BENCH_throughput.json build/bench_throughput_smoke.json \
-    > build/perfdiff_drift.txt
+./build-check/tools/efrb_perfdiff --allow-cross-host \
+    BENCH_throughput.json build-check/bench_throughput_smoke.json \
+    > build-check/perfdiff_drift.txt
 drift_rc=$?
 set -e
 if [[ "$drift_rc" -eq 1 ]]; then
   if [[ "${EFRB_PERFDIFF_STRICT:-0}" == "1" ]]; then
-    cat build/perfdiff_drift.txt
+    cat build-check/perfdiff_drift.txt
     echo "perf drift vs checked-in snapshot (EFRB_PERFDIFF_STRICT=1)"
     exit 1
   fi
   echo "WARNING: perf drift vs checked-in snapshot (advisory: short smoke" \
        "cells; set EFRB_PERFDIFF_STRICT=1 to enforce)"
-  grep 'REGRESSED' build/perfdiff_drift.txt || true
+  grep 'REGRESSED' build-check/perfdiff_drift.txt || true
 elif [[ "$drift_rc" -ne 0 ]]; then
-  cat build/perfdiff_drift.txt
+  cat build-check/perfdiff_drift.txt
   echo "perfdiff drift comparison errored (exit $drift_rc)"
   exit 1
 fi
@@ -319,23 +319,23 @@ echo "=== postmortem: abort-injected flight dump must decode ==="
 # handler must leave a decodable black box behind (signal-safe write path),
 # and efrb_postmortem must reconstruct gauges, the progress table, and the
 # per-thread timelines from it.
-rm -f build/obs_crash.bin
+rm -f build-check/obs_crash.bin
 set +e
-./build/tools/obs_probe --ms 60 --abort --flight build/obs_crash.bin \
+./build-check/tools/obs_probe --ms 60 --abort --flight build-check/obs_crash.bin \
     > /dev/null 2>&1
 probe_rc=$?
 set -e
 [[ "$probe_rc" -ne 0 ]] \
   || { echo "obs_probe --abort exited 0 (expected a SIGABRT death)"; exit 1; }
-[[ -s build/obs_crash.bin ]] \
+[[ -s build-check/obs_crash.bin ]] \
   || { echo "flight handler wrote no dump"; exit 1; }
-run ./build/tools/efrb_postmortem build/obs_crash.bin > build/postmortem.txt
+run ./build-check/tools/efrb_postmortem build-check/obs_crash.bin > build-check/postmortem.txt
 for needle in 'flight dump v1' 'gauges' 'progress table' \
     'per-thread timeline' 'inferred help graph'; do
-  grep -q "$needle" build/postmortem.txt \
+  grep -q "$needle" build-check/postmortem.txt \
     || { echo "efrb_postmortem output missing '$needle'"; exit 1; }
 done
-echo "postmortem OK: exit $probe_rc, $(wc -c < build/obs_crash.bin) byte dump"
+echo "postmortem OK: exit $probe_rc, $(wc -c < build-check/obs_crash.bin) byte dump"
 
 if [[ "$FAST" == "0" ]]; then
   echo "=== ASan + UBSan ==="
@@ -384,11 +384,11 @@ if [[ "$FAST" == "0" ]]; then
   # lean find) must not regress below the heap baseline on the uniform
   # read-mostly cell (E1c); the default configuration is heap + lean find.
   # Summed over thread counts to average scheduler noise.
-  EFRB_BENCH_MS="${EFRB_ALLOC_GATE_MS:-60}" run ./build/bench/bench_throughput \
-      --json build/alloc_gate.json > /dev/null
+  EFRB_BENCH_MS="${EFRB_ALLOC_GATE_MS:-60}" run ./build-check/bench/bench_throughput \
+      --json build-check/alloc_gate.json > /dev/null
   python3 - <<'EOF'
 import json
-cells = json.load(open('build/alloc_gate.json'))['cells']
+cells = json.load(open('build-check/alloc_gate.json'))['cells']
 def total(name):
     t = sum(c['result']['mops'] for c in cells if c['name'] == name)
     assert t > 0, f'no {name} cells in alloc ablation output'
@@ -434,13 +434,13 @@ EOF
   # A/B pair then does IDENTICAL work and the ratio is a property of the trees,
   # not of where the duration timer happened to cut each run off.
   balance_bench() {
-    EFRB_BENCH_MS="$1" EFRB_BENCH_SEED=1234 run ./build/bench/bench_throughput \
-        --json build/balance_gate.json > /dev/null
+    EFRB_BENCH_MS="$1" EFRB_BENCH_SEED=1234 run ./build-check/bench/bench_throughput \
+        --json build-check/balance_gate.json > /dev/null
   }
   balance_eval() {
     python3 - <<'EOF'
 import json
-cells = json.load(open('build/balance_gate.json'))['cells']
+cells = json.load(open('build-check/balance_gate.json'))['cells']
 def total(name):
     t = sum(c['result']['mops'] for c in cells if c['name'] == name)
     assert t > 0, f'no {name} cells in balance ablation output'
@@ -503,7 +503,7 @@ EOF
   python3 - <<'EOF' || echo "WARNING: sharded scaling gate below threshold" \
       "(advisory: expected on hosts without enough cores)"
 import json
-cells = json.load(open('build/bench_throughput_smoke.json'))['cells']
+cells = json.load(open('build-check/bench_throughput_smoke.json'))['cells']
 def mops(name):
     t = sum(c['result']['mops'] for c in cells if c['name'] == name)
     assert t > 0, f'no {name} cells in shard ablation output'
@@ -533,7 +533,7 @@ EOF
   # into a persistent log so a failing run can be replayed bit-for-bit with
   # EFRB_FAULT_SEED=<seed> scripts/... (set -o pipefail keeps failures fatal
   # through the tee).
-  FAULT_LOG=build/fault_injection.log
+  FAULT_LOG=build-check/fault_injection.log
   : > "$FAULT_LOG"
   run cmake --build build-hooks --target fault_injection_test
   ./build-hooks/tests/fault_injection_test --gtest_color=no 2>&1 | tee -a "$FAULT_LOG"

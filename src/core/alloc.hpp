@@ -6,8 +6,10 @@
 // the allocation step a pluggable policy:
 //
 //   * HeapAllocator — the default: create<T> is `new`, destroy<T> is
-//     `delete`. Stateless, default-constructible, zero overhead; every
-//     existing instantiation keeps exactly its old behaviour.
+//     `delete`. Stateless, default-constructible, zero overhead. On the
+//     Handle path OpContext::make/dispose first try the attachment's recycle
+//     bins (reclaim/recycle.hpp): blocks the handle's own epoch sweeps kept
+//     back, by exact size, instead of deleting them.
 //   * BlockPool / ObjectPool — per-thread slab pools with free-list
 //     recycling. Blocks are cache-line-aligned and uniformly sized (the
 //     rounded-up max of the pooled types), so a recycled block can be reused

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 
@@ -44,9 +45,10 @@ enum class UpdateState : std::uintptr_t {
 /// Base class of IInfo/DInfo. The state tag of a word that points to an Info
 /// record tells helpers the concrete type while the operation is in flight
 /// (IFlag -> IInfo, DFlag/Mark -> DInfo), mirroring the paper's Help routine
-/// (lines 107-112). The virtual destructor exists for reclamation only: a
-/// record is retired when a *Clean* word referencing it is overwritten, and at
-/// that point the tag no longer identifies the concrete type.
+/// (lines 107-112). The virtual members exist for reclamation only: a record
+/// is retired when a *Clean* word referencing it is overwritten, and at that
+/// point the tag no longer identifies the concrete type. dynamic_size() lets
+/// the heap recycle path (reclaim/recycle.hpp) bin the block by its real size.
 struct Info {
   /// Causal owner stamp: pack_owner(tid, op_seq) of the creating operation,
   /// written by the creator *before* the record's publishing CAS and read by
@@ -56,6 +58,8 @@ struct Info {
   /// word costs 8 bytes in every record whether or not causal tracing is on.
   std::uint64_t owner = kNoOwner;
   virtual ~Info() = default;
+  /// sizeof the concrete record: the size its block was allocated with.
+  virtual std::size_t dynamic_size() const noexcept = 0;
 };
 
 /// Immutable snapshot of an update field: (state, Info*) in one word — the
@@ -118,6 +122,7 @@ struct TreeLayout {
     Leaf* l;
     Node* new_node;
     IInfo(Internal* p_, Leaf* l_, Node* n_) : p(p_), l(l_), new_node(n_) {}
+    std::size_t dynamic_size() const noexcept override { return sizeof(IInfo); }
   };
 
   // lines 15-18
@@ -128,6 +133,7 @@ struct TreeLayout {
     Update pupdate;
     DInfo(Internal* gp_, Internal* p_, Leaf* l_, Update pu)
         : gp(gp_), p(p_), l(l_), pupdate(pu) {}
+    std::size_t dynamic_size() const noexcept override { return sizeof(DInfo); }
   };
 
   static_assert(alignof(IInfo) >= 4 && alignof(DInfo) >= 4,

@@ -25,13 +25,16 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <type_traits>
 #include <vector>
 
 #include "core/alloc.hpp"
 #include "core/debug_hooks.hpp"
+#include "reclaim/recycle.hpp"
 #include "util/assert.hpp"
 #include "util/backoff.hpp"
 #include "util/cacheline.hpp"
@@ -312,9 +315,10 @@ inline std::uint64_t next_handle_seed() noexcept {
 ///
 /// Alloc (default HeapAllocator) is the NodeAllocatorPolicy the operation
 /// allocates through: make<T>/dispose<T> replace bare new/delete in the
-/// structure layers. With the heap default both fold to new/delete and the
-/// context carries no allocator state at all (the pointers below stay null
-/// and are never read); a pooled context routes through the allocator's
+/// structure layers. With the heap default they reuse blocks from the
+/// attachment's recycle bins (reclaim/recycle.hpp) when it keeps any, and
+/// otherwise fold to new/delete; the allocator pointers below stay null and
+/// are never read. A pooled context routes through the allocator's
 /// thread-affine Cache.
 /// kCausal (default off) additionally maintains the handle's ProgressSlot
 /// across the operation (seq window, key, retries, last CAS step, help
@@ -387,21 +391,34 @@ class OpContext {
     }
   }
 
-  /// Allocate-and-construct through the context's allocator. Heap mode folds
-  /// to `new T` — no allocator pointer is ever dereferenced.
+  /// Allocate-and-construct through the context's allocator. Heap mode pops
+  /// a recycled block of sizeof(T) when the attachment has one (a throwing
+  /// constructor puts it back), else `new T` — no allocator pointer is ever
+  /// dereferenced.
   template <typename T, typename... Args>
   T* make(Args&&... args) {
     if constexpr (Alloc::kPooled) {
       EFRB_DCHECK(alloc_ != nullptr && cache_ != nullptr);
       return alloc_->template create<T>(*cache_, std::forward<Args>(args)...);
     } else {
+      if constexpr (kRecyclable<T>) {
+        RecycleBins* bins = recycle_bins();
+        if (void* block = bins != nullptr ? bins->take(sizeof(T)) : nullptr) {
+          try {
+            return ::new (block) T(std::forward<Args>(args)...);
+          } catch (...) {
+            bins->put(block, sizeof(T));  // room: the block just left
+            throw;
+          }
+        }
+      }
       return new T(std::forward<Args>(args)...);
     }
   }
 
   /// Destroy-and-free an object that was never published (the loser side of
   /// a CAS race). Published objects go through retire() instead. Null-safe,
-  /// like delete.
+  /// like delete; heap mode keeps the block in the recycle bins when it can.
   template <typename T>
   void dispose(T* p) noexcept {
     if (p == nullptr) return;
@@ -409,7 +426,8 @@ class OpContext {
       EFRB_DCHECK(alloc_ != nullptr && cache_ != nullptr);
       alloc_->template destroy<T>(*cache_, p);
     } else {
-      delete p;
+      RecycleBins* bins = recycle_bins();
+      if (bins == nullptr || !bins->recycle(p)) delete p;
     }
   }
 
@@ -572,6 +590,18 @@ class OpContext {
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
+  }
+
+  /// The attachment's recycle bins; null on the tree-level path, under a
+  /// reclaimer whose attachments keep none, and before the first retire.
+  RecycleBins* recycle_bins() const noexcept {
+    if constexpr (requires(const Attachment& a) {
+                    { a.recycle_bins() } -> std::same_as<RecycleBins*>;
+                  }) {
+      return att_ != nullptr ? att_->recycle_bins() : nullptr;
+    } else {
+      return nullptr;
+    }
   }
 
   void bump(std::atomic<std::uint64_t> StatCounters::* field) noexcept {

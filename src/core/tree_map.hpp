@@ -310,7 +310,8 @@ class TreeMap
       tree_ = nullptr;
     }
 
-    /// Drain this handle's retire backlog. Call while not pinned.
+    /// Drain this handle's retire backlog and recycle bins. Call while not
+    /// pinned.
     void flush() { att_.flush(); }
 
     /// Exactly this handle's own operations (zeros when stats are disabled).

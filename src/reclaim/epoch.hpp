@@ -16,6 +16,12 @@
 //    pin() is a plain member access with no thread_local lookup at all.
 //  * Retire lists are single-owner (the slot holder); only the epoch
 //    announcement word is shared, so pin/unpin cost one store + one fence.
+//  * An Attachment's sweeps hand safe blocks to its own RecycleBins
+//    (reclaim/recycle.hpp) instead of `delete`, so the owner's next
+//    allocations reuse them. The bins are allocated at the attachment's
+//    first retire, move with it, and go back to the heap on flush() and
+//    detach(). The thread_local lease path and pooled structures (PoolHook
+//    installed) keep the plain disposal path.
 //  * The Registry is shared_ptr-owned by the reclaimer and by every thread
 //    lease, so a thread exiting after the data structure was destroyed cannot
 //    touch freed memory.
@@ -26,10 +32,12 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <thread>
 #include <vector>
 
 #include "reclaim/reclaimer.hpp"
+#include "reclaim/recycle.hpp"
 #include "util/assert.hpp"
 #include "util/cacheline.hpp"
 #include "util/errors.hpp"
@@ -41,9 +49,10 @@ class EpochReclaimer {
 
   struct Retired {
     void* ptr;
-    // Type-erased disposer (dispose_retired<T>): consults the registry's
-    // PoolHook at free time — pool return when installed, delete otherwise.
-    void (*deleter)(void*, const PoolHook&);
+    // Type-erased disposer (recycle_retired<T>): consults the registry's
+    // PoolHook at free time — pool return when installed — and the sweeping
+    // attachment's bins (null outside an attachment sweep), else deletes.
+    void (*deleter)(void*, const PoolHook&, RecycleBins*);
     std::uint64_t epoch;
   };
 
@@ -72,10 +81,12 @@ class EpochReclaimer {
       // pool_hook's keepalive guarantees the pool state is still alive here
       // even if the owning structure (and its pool) died first.
       for (auto& padded : slots) {
-        for (const Retired& r : padded.value.retired) r.deleter(r.ptr, pool_hook);
+        for (const Retired& r : padded.value.retired) {
+          r.deleter(r.ptr, pool_hook, nullptr);
+        }
         padded.value.retired.clear();
       }
-      for (const Retired& r : orphans) r.deleter(r.ptr, pool_hook);
+      for (const Retired& r : orphans) r.deleter(r.ptr, pool_hook, nullptr);
       orphans.clear();
     }
 
@@ -174,17 +185,19 @@ class EpochReclaimer {
   /// handles): owns one Slot for its whole lifetime, so pin()/retire() are
   /// plain member accesses with no thread_local registry lookup. Movable, not
   /// copyable; thread-affine (the owning thread only — the slot's retire list
-  /// is single-owner). detach() (or destruction) releases the slot for reuse;
-  /// the slot's retire backlog is flushed and any not-yet-safe remainder is
-  /// handed to the registry's orphan list, where it is freed by later sweeps
-  /// while the structure is still live (same as the thread-exit lease path).
+  /// and the recycle bins are single-owner). detach() (or destruction)
+  /// releases the slot for reuse; the slot's retire backlog is flushed and
+  /// any not-yet-safe remainder is handed to the registry's orphan list,
+  /// where it is freed by later sweeps while the structure is still live
+  /// (same as the thread-exit lease path).
   class Attachment {
    public:
     Attachment() = default;
     Attachment(Attachment&& other) noexcept
         : reg_(std::move(other.reg_)),
           slot_(other.slot_),
-          retire_batch_(other.retire_batch_) {
+          retire_batch_(other.retire_batch_),
+          bins_(std::move(other.bins_)) {
       other.slot_ = nullptr;
     }
     Attachment& operator=(Attachment&& other) noexcept {
@@ -193,6 +206,7 @@ class EpochReclaimer {
         reg_ = std::move(other.reg_);
         slot_ = other.slot_;
         retire_batch_ = other.retire_batch_;
+        bins_ = std::move(other.bins_);
         other.slot_ = nullptr;
       }
       return *this;
@@ -206,7 +220,8 @@ class EpochReclaimer {
     /// Releases the slot back to the registry. No pin (Guard) may be alive.
     /// The slot's retired backlog is flushed, and anything not yet safe to
     /// free is handed to the registry's orphan list rather than stranded in
-    /// the slot until re-acquisition or Registry destruction.
+    /// the slot until re-acquisition or Registry destruction. The recycle
+    /// bins return their blocks to the heap.
     void detach() noexcept {
       if (slot_ != nullptr) {
         EFRB_DCHECK(slot_->depth == 0);
@@ -214,6 +229,7 @@ class EpochReclaimer {
         slot_ = nullptr;
         reg_.reset();
       }
+      bins_.reset();
     }
 
     Guard pin() {
@@ -224,15 +240,26 @@ class EpochReclaimer {
     template <typename T>
     void retire(T* p) {
       EFRB_DCHECK(slot_ != nullptr);
-      retire_slot(reg_.get(), slot_, retire_batch_, p);
+      // Bins are made at the first retire, unless a pool takes the blocks;
+      // if that allocation fails the sweeps simply keep deleting.
+      if (bins_ == nullptr && !reg_->pool_hook) {
+        bins_.reset(new (std::nothrow) RecycleBins);
+      }
+      retire_slot(reg_.get(), slot_, retire_batch_, p, bins_.get());
     }
 
-    /// Best-effort drain of this attachment's retire list (quiescent points).
+    /// Blocks this attachment's sweeps have kept for reuse (OpContext::make
+    /// pops them), or null before the first retire and under a pool.
+    RecycleBins* recycle_bins() const noexcept { return bins_.get(); }
+
+    /// Best-effort drain of this attachment's retire list (quiescent points),
+    /// straight to the heap, and of its recycle bins.
     /// (Qualified call: the zero-arg flush_slot() below hides the enclosing
     /// class's static overload for unqualified lookup.)
     void flush() {
       EFRB_DCHECK(slot_ != nullptr);
       EpochReclaimer::flush_slot(reg_.get(), slot_);
+      bins_.reset();
     }
 
     /// Unified-surface alias of flush() (see AttachableReclaimerPolicy).
@@ -247,6 +274,7 @@ class EpochReclaimer {
     std::shared_ptr<Registry> reg_;
     Slot* slot_ = nullptr;
     std::size_t retire_batch_ = 0;
+    std::unique_ptr<RecycleBins> bins_;
   };
 
   /// @param max_threads   capacity of the slot table (threads that concurrently
@@ -338,10 +366,10 @@ class EpochReclaimer {
 
   template <typename T>
   static void retire_slot(Registry* reg, Slot* slot, std::size_t retire_batch,
-                          T* p) {
+                          T* p, RecycleBins* bins = nullptr) {
     EFRB_DCHECK(p != nullptr);
     slot->retired.push_back(Retired{
-        p, &dispose_retired<T>,
+        p, &recycle_retired<T>,
         reg->global.load(std::memory_order_acquire)});
     slot->retired_count.fetch_add(1, std::memory_order_relaxed);
     // Sweep on a size *schedule*, not a fixed threshold: when a pinned-but-
@@ -351,7 +379,7 @@ class EpochReclaimer {
     // the amortized cost per retire O(1).
     if (slot->retired.size() >= std::max(slot->next_sweep, retire_batch)) {
       reg->try_advance();
-      sweep(reg, slot);
+      sweep(reg, slot, bins);
       slot->next_sweep = slot->retired.size() + retire_batch;
     }
   }
@@ -402,7 +430,7 @@ class EpochReclaimer {
 
   /// Opportunistic orphan-list sweep (same epoch rule as a slot's own list).
   /// try_lock: the orphan list is a slow path; never stall a retire for it.
-  static void drain_orphans(Registry* reg) noexcept {
+  static void drain_orphans(Registry* reg, RecycleBins* bins) noexcept {
     const std::unique_lock<std::mutex> lock(reg->orphan_mu, std::try_to_lock);
     if (!lock.owns_lock() || reg->orphans.empty()) return;
     const std::uint64_t e = reg->global.load(std::memory_order_acquire);
@@ -411,7 +439,7 @@ class EpochReclaimer {
     std::uint64_t freed = 0;
     for (std::size_t i = 0; i < list.size(); ++i) {
       if (list[i].epoch + 2 <= e) {
-        list[i].deleter(list[i].ptr, reg->pool_hook);
+        list[i].deleter(list[i].ptr, reg->pool_hook, bins);
         ++freed;
       } else {
         list[kept++] = list[i];
@@ -424,7 +452,10 @@ class EpochReclaimer {
     }
   }
 
-  static void sweep(Registry* reg, Slot* slot) {
+  /// Frees (or, given the sweeping attachment's bins, recycles) every entry
+  /// of the slot's list and of the orphan list that the epoch rule proves
+  /// unreachable.
+  static void sweep(Registry* reg, Slot* slot, RecycleBins* bins = nullptr) {
     const std::uint64_t e = reg->global.load(std::memory_order_acquire);
     auto& list = slot->retired;
     std::size_t kept = 0;
@@ -432,7 +463,7 @@ class EpochReclaimer {
     for (std::size_t i = 0; i < list.size(); ++i) {
       // Safe once two advances have completed past the retire epoch.
       if (list[i].epoch + 2 <= e) {
-        list[i].deleter(list[i].ptr, reg->pool_hook);
+        list[i].deleter(list[i].ptr, reg->pool_hook, bins);
         ++freed;
       } else {
         list[kept++] = list[i];
@@ -442,7 +473,7 @@ class EpochReclaimer {
     if (freed != 0) {
       reg->freed_total.fetch_add(freed, std::memory_order_relaxed);
     }
-    drain_orphans(reg);
+    drain_orphans(reg, bins);
   }
 
   // Thread → slot binding. A lease pins the Registry (shared_ptr) so slot

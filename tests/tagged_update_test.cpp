@@ -16,6 +16,7 @@ namespace {
 
 struct FakeInfo : Info {
   int payload = 0;
+  std::size_t dynamic_size() const noexcept override { return sizeof(*this); }
 };
 
 TEST(UpdateTest, DefaultIsCleanNull) {

@@ -90,21 +90,16 @@ void run_handle_ablation(const std::vector<std::size_t>& threads) {
   std::printf("\n");
 }
 
-// E1c — the allocation/read-path ablation backing the allocator redesign:
-// the same tree across the 2x2 grid {heap, pooled} x {lean find, full
-// Search}, uniform read-mostly mix (the cell scripts/check.sh gates on:
-// pooled+lean must not regress below heap+full).
+// E1c — the read-path ablation: the same heap-allocated tree with the lean
+// find (the default) and with the full Search on the read path, uniform
+// read-mostly mix. The cell names keep their "alloc:heap+" prefix so earlier
+// snapshots stay comparable.
 void run_alloc_ablation(const std::vector<std::size_t>& threads) {
   using HeapLean = efrb::EfrbTreeSet<Key>;  // kLeanFind defaults on
   using HeapFull = efrb::EfrbTreeSet<Key, std::less<Key>, efrb::EpochReclaimer,
                                      efrb::FullSearchFindTraits>;
-  using PoolLean = efrb::EfrbTreeSet<Key, std::less<Key>, efrb::EpochReclaimer,
-                                     efrb::PooledTraits>;
-  using PoolFull = efrb::EfrbTreeSet<Key, std::less<Key>, efrb::EpochReclaimer,
-                                     efrb::PooledFullSearchTraits>;
   std::printf("-- alloc ablation: read-mostly mix, key range 2^16 --\n");
-  Table table({"threads", "heap+fullsearch", "heap+lean", "pooled+fullsearch",
-               "pooled+lean"});
+  Table table({"threads", "heap+fullsearch", "heap+lean"});
   for (std::size_t t : threads) {
     WorkloadConfig cfg;
     cfg.threads = t;
@@ -114,9 +109,7 @@ void run_alloc_ablation(const std::vector<std::size_t>& threads) {
     table.add_row(
         {std::to_string(t),
          Table::fmt(mops_for<HeapFull>(cfg, "alloc:heap+fullsearch")),
-         Table::fmt(mops_for<HeapLean>(cfg, "alloc:heap+lean")),
-         Table::fmt(mops_for<PoolFull>(cfg, "alloc:pooled+fullsearch")),
-         Table::fmt(mops_for<PoolLean>(cfg, "alloc:pooled+lean"))});
+         Table::fmt(mops_for<HeapLean>(cfg, "alloc:heap+lean"))});
   }
   table.print();
   std::printf("\n");

@@ -54,7 +54,7 @@
 //
 // Reclamation, stats, hooks and fault injection all arrive through the same
 // OpContext the EFRB core uses: retired nodes and drained ScxRecords go
-// through ctx.retire (Epoch/Hazard/HP-domain reclaimers, retire-to-pool),
+// through ctx.retire (Epoch/Hazard/HP-domain reclaimers, recycle bins),
 // descent depths feed TreeStats::depth_*, committed transformations bump
 // TreeStats::rotations, and every freeze/child CAS is gated and emitted via
 // core/debug_hooks.hpp (CasStep::kFreeze / kScxChild).
@@ -72,7 +72,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/alloc.hpp"
 #include "core/bounded_key.hpp"
 #include "core/debug_hooks.hpp"
 #include "core/llx_scx.hpp"
@@ -211,7 +210,6 @@ class ChromaticCore {
   using Rec = typename Layout::Rec;
   using Word = typename Layout::Word;
   using BKey = typename Layout::BKey;
-  using AllocT = typename Ctx::AllocT;
   using Llx = LlxScx<Node, Traits, Ctx>;
 
   /// Rounds of the bounded cleanup phase. Each round is one root-to-key walk
@@ -219,17 +217,16 @@ class ChromaticCore {
   /// cap is far above any height a bounded key space can produce.
   static constexpr int kMaxCleanupRounds = 256;
 
-  explicit ChromaticCore(Compare cmp, AllocT* alloc)
-      : cmp_(std::move(cmp)), alloc_(alloc) {
+  explicit ChromaticCore(Compare cmp) : cmp_(std::move(cmp)) {
     // Fig. 6 shape, chromatic weights: every sentinel has weight 1.
-    Node* left = make_direct<Node>(BKey::inf1(), Value{}, 1, nullptr, nullptr);
+    Node* left = new Node(BKey::inf1(), Value{}, 1, nullptr, nullptr);
     Node* right = nullptr;
     try {
-      right = make_direct<Node>(BKey::inf2(), Value{}, 1, nullptr, nullptr);
-      root_ = make_direct<Node>(BKey::inf2(), Value{}, 1, left, right);
+      right = new Node(BKey::inf2(), Value{}, 1, nullptr, nullptr);
+      root_ = new Node(BKey::inf2(), Value{}, 1, left, right);
     } catch (...) {
-      dispose_direct(right);
-      dispose_direct(left);
+      delete right;
+      delete left;
       throw;
     }
   }
@@ -255,11 +252,11 @@ class ChromaticCore {
         stack.push_back(l);
         stack.push_back(n->right.load(std::memory_order_relaxed));
       }
-      dispose_direct(n);
+      delete n;
     }
     std::sort(recs.begin(), recs.end());
     recs.erase(std::unique(recs.begin(), recs.end()), recs.end());
-    for (Rec* r : recs) dispose_direct(r);
+    for (Rec* r : recs) delete r;
   }
 
   const BoundedCompare<Key, Compare>& cmp() const noexcept { return cmp_; }
@@ -314,17 +311,16 @@ class ChromaticCore {
           scx_retry(ctx);
           continue;
         }
-        Node* nl = ctx.template make<Node>(l->key, v, l->weight, nullptr,
-                                           nullptr);
+        Draft d(ctx);
+        Node* nl = d.make(l->key, v, l->weight, nullptr, nullptr);
         Rec* rec = make_rec(ctx, {p, l}, {rp.info, rl.info},
                             /*finalize_mask=*/0b10, field, l, nl);
         ctx.count_insert_attempt();
-        if (Llx::scx(ctx, rec)) {
+        if (d.scx(rec)) {
           resume_parked(ctx);  // mutating op: drain any abandoned repair
           ctx.end_op();
           return InsertOutcome::kAssigned;
         }
-        ctx.template dispose<Node>(nl);
         ctx.count_insert_retry();
         scx_retry(ctx);
         continue;
@@ -348,13 +344,12 @@ class ChromaticCore {
         wi = l->weight - 1;
         wl = 1;
       }
-      Node* nk =
-          ctx.template make<Node>(BKey::real(k), v, wl, nullptr, nullptr);
+      Draft d(ctx);
+      Node* nk = d.make(BKey::real(k), v, wl, nullptr, nullptr);
       // Leaf-oriented split: the larger key routes (left < key <= right).
       const bool k_left = cmp_.less(k, l->key);
       Node* ni;
       Rec* rec;
-      Node* nold = nullptr;
       if (wl == l->weight) {
         // Fast path (the common case — every leaf except an overweight one
         // keeps its weight): the old leaf stays in the tree below the new
@@ -366,9 +361,8 @@ class ChromaticCore {
         // can never return to l and a stalled helper's child CAS (expecting
         // l) can never fire a second time — see the child-swing note in
         // llx_scx.hpp and the matching erase() note below.
-        ni = ctx.template make<Node>(k_left ? l->key : BKey::real(k),
-                                     Value{}, wi, k_left ? nk : l,
-                                     k_left ? l : nk);
+        ni = d.make(k_left ? l->key : BKey::real(k), Value{}, wi,
+                    k_left ? nk : l, k_left ? l : nk);
         rec = make_rec(ctx, {p}, {rp.info}, /*finalize_mask=*/0b0, field, l,
                        ni);
       } else {
@@ -376,20 +370,18 @@ class ChromaticCore {
         // the copy's window must freeze and finalize the original.
         const LlxResult<Node> rl = Llx::llx(ctx, l);
         if (!rl.ok) {
-          ctx.template dispose<Node>(nk);
           ctx.count_insert_retry();
           scx_retry(ctx);
-          continue;
+          continue;  // d disposes nk
         }
-        nold = ctx.template make<Node>(l->key, l->value, wl, nullptr, nullptr);
-        ni = ctx.template make<Node>(k_left ? l->key : BKey::real(k),
-                                     Value{}, wi, k_left ? nk : nold,
-                                     k_left ? nold : nk);
+        Node* nold = d.make(l->key, l->value, wl, nullptr, nullptr);
+        ni = d.make(k_left ? l->key : BKey::real(k), Value{}, wi,
+                    k_left ? nk : nold, k_left ? nold : nk);
         rec = make_rec(ctx, {p, l}, {rp.info, rl.info},
                        /*finalize_mask=*/0b10, field, l, ni);
       }
       ctx.count_insert_attempt();
-      if (Llx::scx(ctx, rec)) {
+      if (d.scx(rec)) {
         // Only walk the cleanup path when this SCX actually created a
         // violation: a red replacement internal is fine on its own (most
         // inserts land under a black parent), it violates only paired with a
@@ -404,9 +396,6 @@ class ChromaticCore {
         ctx.end_op();
         return InsertOutcome::kInserted;
       }
-      ctx.template dispose<Node>(ni);
-      if (nold != nullptr) ctx.template dispose<Node>(nold);
-      ctx.template dispose<Node>(nk);
       ctx.count_insert_retry();
       scx_retry(ctx);
     }
@@ -435,17 +424,16 @@ class ChromaticCore {
         scx_retry(ctx);
         continue;
       }
-      Node* nl = ctx.template make<Node>(l->key, desired, l->weight, nullptr,
-                                         nullptr);
+      Draft d(ctx);
+      Node* nl = d.make(l->key, desired, l->weight, nullptr, nullptr);
       Rec* rec = make_rec(ctx, {p, l}, {rp.info, rl.info},
                           /*finalize_mask=*/0b10, field, l, nl);
       ctx.count_insert_attempt();
-      if (Llx::scx(ctx, rec)) {
+      if (d.scx(rec)) {
         resume_parked(ctx);  // mutating op: drain any abandoned repair
         ctx.end_op();
         return true;
       }
-      ctx.template dispose<Node>(nl);
       ctx.count_insert_retry();
       scx_retry(ctx);
     }
@@ -507,13 +495,13 @@ class ChromaticCore {
       // re-link the retired internal (resurrecting the erased key, then
       // use-after-free once the reclaimer frees it). Covered by
       // ChromaticFaultTest.StalledInsertHelperCannotResurrectErasedSubtree.
-      Node* ns =
-          ctx.template make<Node>(s->key, s->value, nw, rs.left, rs.right);
+      Draft d(ctx);
+      Node* ns = d.make(s->key, s->value, nw, rs.left, rs.right);
       Rec* rec = make_rec(ctx, {gp, p, l, s},
                           {rgp.info, rp.info, rl.info, rs.info},
                           /*finalize_mask=*/0b1110, field, p, ns);
       ctx.count_delete_attempt();
-      if (Llx::scx(ctx, rec)) {
+      if (d.scx(rec)) {
         // nw == 1 is violation-free; nw >= 2 is overweight; nw == 0 (both p
         // and s were red) violates only when gp is red too.
         if (nw >= 2 || (nw == 0 && gp->weight == 0)) {
@@ -524,7 +512,6 @@ class ChromaticCore {
         ctx.end_op();
         return true;
       }
-      ctx.template dispose<Node>(ns);
       ctx.count_delete_retry();
       scx_retry(ctx);
     }
@@ -678,6 +665,48 @@ class ChromaticCore {
   }
 
  private:
+  /// The nodes one SCX attempt has made. If the attempt ends before its SCX
+  /// — a later make throws (a throwing Value copy, bad_alloc) or the window
+  /// went stale — the destructor disposes them; scx() takes them over.
+  class Draft {
+   public:
+    explicit Draft(Ctx& ctx) noexcept : ctx_(ctx) {}
+    Draft(const Draft&) = delete;
+    Draft& operator=(const Draft&) = delete;
+    ~Draft() { dispose(); }
+
+    template <typename... Args>
+    Node* make(Args&&... args) {
+      EFRB_DCHECK(n_ < kMaxNodes);
+      Node* n = ctx_.template make<Node>(std::forward<Args>(args)...);
+      nodes_[n_++] = n;
+      return n;
+    }
+
+    /// Run the SCX that links the nodes. The draft lets go of them first:
+    /// the first freeze shows the record to helpers, so an exception from
+    /// inside the SCX must not free them. A failed SCX never linked them,
+    /// so they are disposed then.
+    bool scx(Rec* rec) {
+      const std::size_t n = std::exchange(n_, 0);
+      if (Llx::scx(ctx_, rec)) return true;
+      n_ = n;
+      dispose();
+      return false;
+    }
+
+   private:
+    static constexpr std::size_t kMaxNodes = 3;
+
+    void dispose() noexcept {  // newest first
+      while (n_ > 0) ctx_.template dispose<Node>(nodes_[--n_]);
+    }
+
+    Ctx& ctx_;
+    Node* nodes_[kMaxNodes];
+    std::size_t n_ = 0;
+  };
+
   struct DescentWindow {
     Node* gp;
     Node* p;
@@ -738,8 +767,9 @@ class ChromaticCore {
   }
 
   /// Copy `n` with a new weight and the given (snapshot) children.
-  Node* clone(Ctx& ctx, const Node* n, std::int32_t w, Node* l, Node* r) {
-    return ctx.template make<Node>(n->key, n->value, w, l, r);
+  static Node* clone(Draft& d, const Node* n, std::int32_t w, Node* l,
+                     Node* r) {
+    return d.make(n->key, n->value, w, l, r);
   }
 
   Rec* make_rec(Ctx& ctx, std::initializer_list<Node*> v,
@@ -799,37 +829,32 @@ class ChromaticCore {
       // holds (a red leaf beside an overweight node would unbalance the
       // sums); bail out defensively if the snapshot says otherwise.
       if (rs.left == nullptr) return false;
+      Draft d(ctx);
       Node* np1;
       Node* ns;
       if (u_left) {
-        np1 = clone(ctx, p1, 0, u, rs.left);
-        ns = clone(ctx, s, p1->weight, np1, rs.right);
+        np1 = clone(d, p1, 0, u, rs.left);
+        ns = clone(d, s, p1->weight, np1, rs.right);
       } else {
-        np1 = clone(ctx, p1, 0, rs.right, u);
-        ns = clone(ctx, s, p1->weight, rs.left, np1);
+        np1 = clone(d, p1, 0, rs.right, u);
+        ns = clone(d, s, p1->weight, rs.left, np1);
       }
       Rec* rec = make_rec(ctx, {p2, p1, s}, {r2.info, r1.info, rs.info},
                           /*finalize_mask=*/0b110, field, p1, ns);
-      if (Llx::scx(ctx, rec)) return true;
-      ctx.template dispose<Node>(ns);
-      ctx.template dispose<Node>(np1);
-      return false;
+      return d.scx(rec);
     }
 
     // PUSH: (w(u)-1) + (w(p1)+1) and (w(s)-1) + (w(p1)+1) preserve both
     // path sums exactly.
-    Node* nu = clone(ctx, u, u->weight - 1, ru.left, ru.right);
-    Node* ns = clone(ctx, s, s->weight - 1, rs.left, rs.right);
-    Node* np1 = clone(ctx, p1, p1->weight + 1, u_left ? nu : ns,
+    Draft d(ctx);
+    Node* nu = clone(d, u, u->weight - 1, ru.left, ru.right);
+    Node* ns = clone(d, s, s->weight - 1, rs.left, rs.right);
+    Node* np1 = clone(d, p1, p1->weight + 1, u_left ? nu : ns,
                       u_left ? ns : nu);
     Rec* rec = make_rec(ctx, {p2, p1, u, s},
                         {r2.info, r1.info, ru.info, rs.info},
                         /*finalize_mask=*/0b1110, field, p1, np1);
-    if (Llx::scx(ctx, rec)) return true;
-    ctx.template dispose<Node>(np1);
-    ctx.template dispose<Node>(ns);
-    ctx.template dispose<Node>(nu);
-    return false;
+    return d.scx(rec);
   }
 
   /// Red-red pair (p1, u). A red top of the real subtree (sentinel p2) is
@@ -877,32 +902,27 @@ class ChromaticCore {
       // BLK: p2'(w-1)[ p1'(1), uncle'(1) ] — pure recoloring.
       const LlxResult<Node> rn = Llx::llx(ctx, uncle);
       if (!rn.ok) return false;
-      Node* np1 = clone(ctx, p1, 1, r1.left, r1.right);
-      Node* nun = clone(ctx, uncle, 1, rn.left, rn.right);
-      Node* np2 = clone(ctx, p2, p2->weight - 1, p1_left ? np1 : nun,
+      Draft d(ctx);
+      Node* np1 = clone(d, p1, 1, r1.left, r1.right);
+      Node* nun = clone(d, uncle, 1, rn.left, rn.right);
+      Node* np2 = clone(d, p2, p2->weight - 1, p1_left ? np1 : nun,
                         p1_left ? nun : np1);
       Rec* rec = make_rec(ctx, {p3, p2, p1, uncle},
                           {r3.info, r2.info, r1.info, rn.info},
                           /*finalize_mask=*/0b1110, field, p2, np2);
-      if (Llx::scx(ctx, rec)) return true;
-      ctx.template dispose<Node>(np2);
-      ctx.template dispose<Node>(nun);
-      ctx.template dispose<Node>(np1);
-      return false;
+      return d.scx(rec);
     }
 
     if (u_left == p1_left) {
       // RB1 (outer red): rotate p1 above p2.
       //   p1'(w(p2)) [ u, p2'(0)[c, uncle] ]   (and the mirror image)
-      Node* np2 = clone(ctx, p2, 0, p1_left ? c : uncle, p1_left ? uncle : c);
-      Node* np1 = clone(ctx, p1, p2->weight, p1_left ? u : np2,
+      Draft d(ctx);
+      Node* np2 = clone(d, p2, 0, p1_left ? c : uncle, p1_left ? uncle : c);
+      Node* np1 = clone(d, p1, p2->weight, p1_left ? u : np2,
                         p1_left ? np2 : u);
       Rec* rec = make_rec(ctx, {p3, p2, p1}, {r3.info, r2.info, r1.info},
                           /*finalize_mask=*/0b110, field, p2, np1);
-      if (Llx::scx(ctx, rec)) return true;
-      ctx.template dispose<Node>(np1);
-      ctx.template dispose<Node>(np2);
-      return false;
+      return d.scx(rec);
     }
 
     // RB2 (inner red): rotate u above both. An inner red leaf beside a black
@@ -910,28 +930,25 @@ class ChromaticCore {
     // means the window went stale — bail out.
     const LlxResult<Node> ru = Llx::llx(ctx, u);
     if (!ru.ok || ru.left == nullptr) return false;
+    Draft d(ctx);
     Node* np1;
     Node* np2;
     Node* nu;
     if (p1_left) {
       // u = p1.right: u'(w(p2)) [ p1'(0)[c, u.left], p2'(0)[u.right, uncle] ]
-      np1 = clone(ctx, p1, 0, c, ru.left);
-      np2 = clone(ctx, p2, 0, ru.right, uncle);
-      nu = clone(ctx, u, p2->weight, np1, np2);
+      np1 = clone(d, p1, 0, c, ru.left);
+      np2 = clone(d, p2, 0, ru.right, uncle);
+      nu = clone(d, u, p2->weight, np1, np2);
     } else {
       // u = p1.left: u'(w(p2)) [ p2'(0)[uncle, u.left], p1'(0)[u.right, c] ]
-      np2 = clone(ctx, p2, 0, uncle, ru.left);
-      np1 = clone(ctx, p1, 0, ru.right, c);
-      nu = clone(ctx, u, p2->weight, np2, np1);
+      np2 = clone(d, p2, 0, uncle, ru.left);
+      np1 = clone(d, p1, 0, ru.right, c);
+      nu = clone(d, u, p2->weight, np2, np1);
     }
     Rec* rec = make_rec(ctx, {p3, p2, p1, u},
                         {r3.info, r2.info, r1.info, ru.info},
                         /*finalize_mask=*/0b1110, field, p2, nu);
-    if (Llx::scx(ctx, rec)) return true;
-    ctx.template dispose<Node>(nu);
-    ctx.template dispose<Node>(np2);
-    ctx.template dispose<Node>(np1);
-    return false;
+    return d.scx(rec);
   }
 
   /// Replace u (child of a sentinel-keyed parent) with a weight-1 copy: the
@@ -943,58 +960,30 @@ class ChromaticCore {
     if (field == nullptr) return false;
     const LlxResult<Node> ru = Llx::llx(ctx, u);
     if (!ru.ok) return false;
-    Node* nu = clone(ctx, u, 1, ru.left, ru.right);
+    Draft d(ctx);
+    Node* nu = clone(d, u, 1, ru.left, ru.right);
     Rec* rec = make_rec(ctx, {parent, u}, {rp.info, ru.info},
                         /*finalize_mask=*/0b10, field, u, nu);
-    if (Llx::scx(ctx, rec)) return true;
-    ctx.template dispose<Node>(nu);
-    return false;
-  }
-
-  // Constructor/destructor-time allocation without an OpContext (quiescent;
-  // same policy, structure-level cache) — mirrors TreeCore.
-  template <typename T, typename... Args>
-  T* make_direct(Args&&... args) {
-    if constexpr (AllocT::kPooled) {
-      EFRB_DCHECK(alloc_ != nullptr);
-      return alloc_->template create<T>(*alloc_->local_cache(),
-                                        std::forward<Args>(args)...);
-    } else {
-      return new T(std::forward<Args>(args)...);
-    }
-  }
-
-  template <typename T>
-  void dispose_direct(T* p) noexcept {
-    if (p == nullptr) return;
-    if constexpr (AllocT::kPooled) {
-      alloc_->template destroy<T>(*alloc_->local_cache(), p);
-    } else {
-      delete p;
-    }
+    return d.scx(rec);
   }
 
   BoundedCompare<Key, Compare> cmp_;
-  AllocT* alloc_;
   Node* root_ = nullptr;
   ParkedViolation<Key> parked_;
 };
 
-/// The chromatic tree as a TreeMap policy (tree_map.hpp): one node type and
-/// the ScxRecord are the pool's block types.
+/// The chromatic tree as a TreeMap policy (tree_map.hpp).
 struct ChromaticPolicy {
   static constexpr const char* kName = "chromatic-tree";
   template <typename Key, typename Value>
   using Layout = ChromaticLayout<Key, Value>;
-  template <typename L>
-  using Pool = ObjectPool<typename L::Node, typename L::Rec>;
   template <typename Key, typename Value, typename Compare, typename Traits,
             typename Ctx>
   using Core = ChromaticCore<Key, Value, Compare, Traits, Ctx>;
 };
 
 /// Public facade: the chromatic tree behind the same ConcurrentMap surface,
-/// Handle fast path, reclaimer/allocator policies and stats plumbing as
+/// Handle fast path, reclaimer policy and stats plumbing as
 /// EfrbTreeMap — one TreeMap, only the structure underneath differs.
 template <typename Key, typename Value = detail::Unit,
           typename Compare = std::less<Key>,

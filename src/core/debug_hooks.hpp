@@ -126,7 +126,7 @@ enum class Phase : std::uint8_t {
   kHelping,           // completing another operation's pending Info/ScxRecord
   kRebalanceCleanup,  // chromatic violation cleanup (fixing SCXs)
   kReclamation,       // retiring nodes/records into the reclaimer
-  kPoolAlloc,         // allocating nodes/records (pool or heap)
+  kPoolAlloc,         // allocating nodes/records ("pool_alloc" in metrics)
 };
 
 /// Number of Phase values; sizes the per-phase accumulator arrays in
@@ -286,9 +286,6 @@ inline bool allow_cas(CasStep s, const void* node, unsigned tid) {
 // ---------------------------------------------------------------------------
 // Optional Traits flags, detected by the facade (absence = default):
 //
-//   kPooledAlloc (default false) — allocate nodes and Info records from a
-//     per-structure ObjectPool (core/alloc.hpp) instead of the heap, with
-//     retired blocks recycled through the reclaimer's PoolHook.
 //   kLeanFind (default true) — route contains()/get() through the
 //     bookkeeping-free find_path descent (core/search.hpp) instead of the
 //     full Search. Turning it off restores the pre-redesign behaviour where
@@ -298,15 +295,6 @@ inline bool allow_cas(CasStep s, const void* node, unsigned tid) {
 // ---------------------------------------------------------------------------
 
 namespace hooks {
-
-template <typename Traits>
-inline constexpr bool pooled_alloc_v = [] {
-  if constexpr (requires { Traits::kPooledAlloc; }) {
-    return static_cast<bool>(Traits::kPooledAlloc);
-  } else {
-    return false;
-  }
-}();
 
 template <typename Traits>
 inline constexpr bool lean_find_v = [] {
@@ -347,21 +335,9 @@ struct NoopTraits {
   static void at(HookPoint) noexcept {}
 };
 
-/// Pooled-allocation traits: nodes and Info records come from the
-/// structure's ObjectPool and recycle through the reclaimers (the tentpole
-/// configuration of the allocation ablation; see core/alloc.hpp).
-struct PooledTraits : NoopTraits {
-  static constexpr bool kPooledAlloc = true;
-};
-
 /// Pre-redesign read path: contains()/get() run the full Search with
 /// SearchResult capture. The A/B counterpart of the (default) lean find.
 struct FullSearchFindTraits : NoopTraits {
-  static constexpr bool kLeanFind = false;
-};
-
-/// Pooled allocation + full-search reads (completes the 2x2 ablation grid).
-struct PooledFullSearchTraits : PooledTraits {
   static constexpr bool kLeanFind = false;
 };
 

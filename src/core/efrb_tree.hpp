@@ -30,7 +30,6 @@
 
 #include <functional>
 
-#include "core/alloc.hpp"
 #include "core/debug_hooks.hpp"
 #include "core/layout.hpp"
 #include "core/op_context.hpp"
@@ -40,15 +39,12 @@
 
 namespace efrb {
 
-/// The EFRB tree as a TreeMap policy: Fig. 7 layout, the CAS-protocol core,
-/// and a pool over the four node/record types.
+/// The EFRB tree as a TreeMap policy: Fig. 7 layout and the CAS-protocol
+/// core.
 struct EfrbPolicy {
   static constexpr const char* kName = "efrb-tree";
   template <typename Key, typename Value>
   using Layout = TreeLayout<Key, Value>;
-  template <typename L>
-  using Pool = ObjectPool<typename L::Leaf, typename L::Internal,
-                          typename L::IInfo, typename L::DInfo>;
   template <typename Key, typename Value, typename Compare, typename Traits,
             typename Ctx>
   using Core = TreeCore<Key, Value, Compare, Traits, Ctx>;

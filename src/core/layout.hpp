@@ -105,8 +105,7 @@ struct TreeLayout {
   // bypasses the per-thread cache, takes the arena lock and pads each node
   // to a full line. Measured against 64-byte alignment, natural alignment
   // made every perfbench workload faster (update-small +30% ops/s) and every
-  // node smaller (bytes_per_key -21%); see EXPERIMENTS.md (E8). The pooled
-  // allocator still hands out whole-line blocks.
+  // node smaller (bytes_per_key -21%); see EXPERIMENTS.md (E8).
   struct Internal final : Node {
     AtomicUpdate update;  // lines 2-5: (state, Info*) in one CAS word
     std::atomic<Node*> left;

@@ -37,7 +37,7 @@
 // attempt and rolled back on failure, so it never undercounts the published
 // references; whoever observes it at zero claims the record (single claim
 // bit) and retires it through the operation's OpContext, so Epoch/Hazard/
-// HP-domain reclaimers and retire-to-pool all work unchanged. Stale helpers
+// HP-domain reclaimers and the recycle bins all work unchanged. Stale helpers
 // may touch a drained record after it is retired — they were pinned before
 // the displacement that drained it, so every reclaimer defers the free past
 // them.

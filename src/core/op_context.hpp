@@ -30,9 +30,9 @@
 #include <cstdint>
 #include <new>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
-#include "core/alloc.hpp"
 #include "core/debug_hooks.hpp"
 #include "reclaim/recycle.hpp"
 #include "util/assert.hpp"
@@ -313,13 +313,9 @@ inline std::uint64_t next_handle_seed() noexcept {
 /// events by key range. When off, set_op_key is a no-op and op_key() folds to
 /// the kNoKey constant — the uninstrumented path carries no key state.
 ///
-/// Alloc (default HeapAllocator) is the NodeAllocatorPolicy the operation
-/// allocates through: make<T>/dispose<T> replace bare new/delete in the
-/// structure layers. With the heap default they reuse blocks from the
-/// attachment's recycle bins (reclaim/recycle.hpp) when it keeps any, and
-/// otherwise fold to new/delete; the allocator pointers below stay null and
-/// are never read. A pooled context routes through the allocator's
-/// thread-affine Cache.
+/// make<T>/dispose<T> replace bare new/delete in the structure layers: they
+/// reuse blocks from the attachment's recycle bins (reclaim/recycle.hpp)
+/// when it keeps any, and otherwise fold to new/delete.
 /// kCausal (default off) additionally maintains the handle's ProgressSlot
 /// across the operation (seq window, key, retries, last CAS step, help
 /// depth) and exposes owner() — the packed {tid, op_seq} stamp the protocol
@@ -328,12 +324,10 @@ inline std::uint64_t next_handle_seed() noexcept {
 /// the context carries no slot pointer, keeping the uninstrumented
 /// instantiation byte-identical to the pre-causality code.
 template <typename Reclaimer, bool kCount, bool kTrackKeys = false,
-          typename Alloc = HeapAllocator, bool kCausal = false>
+          bool kCausal = false>
 class OpContext {
  public:
   using Attachment = typename Reclaimer::Attachment;
-  using AllocT = Alloc;
-  using AllocCache = typename Alloc::Cache;
 
   /// Whether this context counts statistics — lets the structure layers skip
   /// preparing inputs (e.g. the descent-depth out-counter) that count_*()
@@ -343,16 +337,11 @@ class OpContext {
   /// Context for structure-level convenience methods: retires through the
   /// reclaimer's thread_local lease, counts into the shared block, no
   /// backoff (matching the pre-handle behaviour exactly). No per-thread
-  /// identity: hooks see kNoTid. Allocator defaults to null — required
-  /// (and supplied by the facade) only when Alloc::kPooled.
-  static OpContext tree_level(Reclaimer& r, StatCounters* counters,
-                              Alloc* alloc = nullptr,
-                              AllocCache* cache = nullptr) noexcept {
+  /// identity: hooks see kNoTid.
+  static OpContext tree_level(Reclaimer& r, StatCounters* counters) noexcept {
     OpContext ctx;
     ctx.rec_ = &r;
     ctx.counters_ = counters;
-    ctx.alloc_ = alloc;
-    ctx.cache_ = cache;
     return ctx;
   }
 
@@ -362,13 +351,10 @@ class OpContext {
   /// identity the fault-injection layer keys on). `retried_out`, when
   /// non-null, is set to true by the first retry_pause() — the seam behind
   /// Handle::last_op_retried() that lets latency sampling split clean ops
-  /// from contended ones without touching the stats machinery. Allocation
-  /// goes through the handle's own Cache when Alloc::kPooled.
+  /// from contended ones without touching the stats machinery.
   static OpContext attached(Attachment& a, StatCounters* counters,
                             Backoff* backoff, unsigned tid = kNoTid,
                             bool* retried_out = nullptr,
-                            Alloc* alloc = nullptr,
-                            AllocCache* cache = nullptr,
                             ProgressSlot* progress = nullptr) noexcept {
     OpContext ctx;
     ctx.att_ = &a;
@@ -376,8 +362,6 @@ class OpContext {
     ctx.backoff_ = backoff;
     ctx.tid_ = tid;
     ctx.retried_out_ = retried_out;
-    ctx.alloc_ = alloc;
-    ctx.cache_ = cache;
     if constexpr (kCausal) ctx.progress_ = progress;
     return ctx;
   }
@@ -391,44 +375,32 @@ class OpContext {
     }
   }
 
-  /// Allocate-and-construct through the context's allocator. Heap mode pops
-  /// a recycled block of sizeof(T) when the attachment has one (a throwing
-  /// constructor puts it back), else `new T` — no allocator pointer is ever
-  /// dereferenced.
+  /// Allocate-and-construct: pops a recycled block of sizeof(T) when the
+  /// attachment has one (a throwing constructor puts it back), else `new T`.
   template <typename T, typename... Args>
   T* make(Args&&... args) {
-    if constexpr (Alloc::kPooled) {
-      EFRB_DCHECK(alloc_ != nullptr && cache_ != nullptr);
-      return alloc_->template create<T>(*cache_, std::forward<Args>(args)...);
-    } else {
-      if constexpr (kRecyclable<T>) {
-        RecycleBins* bins = recycle_bins();
-        if (void* block = bins != nullptr ? bins->take(sizeof(T)) : nullptr) {
-          try {
-            return ::new (block) T(std::forward<Args>(args)...);
-          } catch (...) {
-            bins->put(block, sizeof(T));  // room: the block just left
-            throw;
-          }
+    if constexpr (kRecyclable<T>) {
+      RecycleBins* bins = recycle_bins();
+      if (void* block = bins != nullptr ? bins->take(sizeof(T)) : nullptr) {
+        try {
+          return ::new (block) T(std::forward<Args>(args)...);
+        } catch (...) {
+          bins->put(block, sizeof(T));  // room: the block just left
+          throw;
         }
       }
-      return new T(std::forward<Args>(args)...);
     }
+    return new T(std::forward<Args>(args)...);
   }
 
   /// Destroy-and-free an object that was never published (the loser side of
   /// a CAS race). Published objects go through retire() instead. Null-safe,
-  /// like delete; heap mode keeps the block in the recycle bins when it can.
+  /// like delete; keeps the block in the recycle bins when it can.
   template <typename T>
   void dispose(T* p) noexcept {
     if (p == nullptr) return;
-    if constexpr (Alloc::kPooled) {
-      EFRB_DCHECK(alloc_ != nullptr && cache_ != nullptr);
-      alloc_->template destroy<T>(*cache_, p);
-    } else {
-      RecycleBins* bins = recycle_bins();
-      if (bins == nullptr || !bins->recycle(p)) delete p;
-    }
+    RecycleBins* bins = recycle_bins();
+    if (bins == nullptr || !bins->recycle(p)) delete p;
   }
 
   void begin_op() noexcept {
@@ -621,9 +593,6 @@ class OpContext {
   unsigned tid_ = kNoTid;
   bool* retried_out_ = nullptr;
   [[maybe_unused]] std::uint64_t op_key_ = kNoKey;
-  // Null (and never read) in heap mode; see make()/dispose().
-  Alloc* alloc_ = nullptr;
-  AllocCache* cache_ = nullptr;
   [[no_unique_address]] std::conditional_t<kCausal, ProgressSlot*, NoProgress>
       progress_{};
 };

@@ -70,27 +70,22 @@ class TreeCore {
   using IInfo = typename Layout::IInfo;
   using DInfo = typename Layout::DInfo;
   using SearchResult = typename Layout::SearchResult;
-  using AllocT = typename Ctx::AllocT;
 
-  /// `alloc` must outlive the core and is required when AllocT::kPooled (the
-  /// facade passes its own pool); in heap mode it may stay null — every
-  /// allocation folds to new/delete.
-  explicit TreeCore(Compare cmp, AllocT* alloc = nullptr)
-      : cmp_(std::move(cmp)), alloc_(alloc) {
+  explicit TreeCore(Compare cmp) : cmp_(std::move(cmp)) {
     // Initialization per Figure 7 (lines 19-22) / Figure 6(a): the permanent
     // root has key ∞₂ and leaf children ∞₁, ∞₂. Root is never replaced.
     //
     // Exception-safe: if a later allocation (or a Value{} constructor)
     // throws, the earlier sentinels are rolled back — a throwing constructor
     // no longer leaks the left leaf (or both leaves).
-    Leaf* left = make_direct<Leaf>(BKey::inf1(), Value{});
+    Leaf* left = new Leaf(BKey::inf1(), Value{});
     Leaf* right = nullptr;
     try {
-      right = make_direct<Leaf>(BKey::inf2(), Value{});
-      root_ = make_direct<Internal>(BKey::inf2(), left, right);
+      right = new Leaf(BKey::inf2(), Value{});
+      root_ = new Internal(BKey::inf2(), left, right);
     } catch (...) {
-      dispose_direct(right);
-      dispose_direct(left);
+      delete right;
+      delete left;
       throw;
     }
   }
@@ -116,10 +111,10 @@ class TreeCore {
         // quiescence no in-tree word can be flagged or marked.
         const Update u = in->update.load(std::memory_order_relaxed);
         EFRB_DCHECK(u.state() == UpdateState::kClean);
-        if (u.state() == UpdateState::kClean) dispose_direct(u.info());
-        dispose_direct(in);
+        if (u.state() == UpdateState::kClean) delete u.info();
+        delete in;
       } else {
-        dispose_direct(static_cast<Leaf*>(n));
+        delete static_cast<Leaf*>(n);
       }
     }
   }
@@ -204,13 +199,13 @@ class TreeCore {
   /// reused across retries, so a duplicate insert allocates nothing.
   InsertOutcome insert(const Key& k, Value v, bool assign_if_present,
                        Ctx& ctx) {
-    Leaf* new_leaf = nullptr;  // line 45, deferred
+    Draft d(ctx);  // d.leaf: line 45, deferred
     auto leaf = [&]() -> Leaf* {
-      if (new_leaf == nullptr) {
+      if (d.leaf == nullptr) {
         hooks::PhaseScope<Traits> alloc_phase(Phase::kPoolAlloc, ctx.tid());
-        new_leaf = ctx.template make<Leaf>(BKey::real(k), std::move(v));
+        d.leaf = ctx.template make<Leaf>(BKey::real(k), std::move(v));
       }
-      return new_leaf;
+      return d.leaf;
     };
     ctx.begin_op();
     for (;;) {
@@ -218,9 +213,8 @@ class TreeCore {
       hooks::emit_at<Traits>(HookPoint::kAfterSearch, ctx.tid(), ctx.op_key());
       if (cmp_.equals(k, s.l->key)) {  // line 50: duplicate key
         if (!assign_if_present) {
-          ctx.dispose(new_leaf);  // never published (may still be null)
           ctx.end_op();
-          return InsertOutcome::kDuplicate;
+          return InsertOutcome::kDuplicate;  // d disposes any unused leaf
         }
         // Extension: replace the existing leaf with new_leaf via the same
         // flag/child/unflag protocol. As in the paper's line 51, the parent
@@ -232,7 +226,7 @@ class TreeCore {
           ctx.retry_pause();
           continue;
         }
-        if (try_install(s, leaf(), ctx)) {
+        if (try_install(s, leaf(), d, ctx)) {
           ctx.end_op();
           return InsertOutcome::kAssigned;
         }
@@ -249,26 +243,24 @@ class TreeCore {
       // lines 53-54: build the replacement subtree. The new internal node's
       // key is max(k, l->key); the leaf with the smaller key goes left.
       Leaf* mine = leaf();
-      Leaf* new_sibling;
-      Internal* new_internal;
       {
         hooks::PhaseScope<Traits> alloc_phase(Phase::kPoolAlloc, ctx.tid());
-        new_sibling = ctx.template make<Leaf>(s.l->key, s.l->value);
+        d.sibling = ctx.template make<Leaf>(s.l->key, s.l->value);
         if (cmp_.less(k, s.l->key)) {
-          new_internal = ctx.template make<Internal>(s.l->key, mine, new_sibling);
+          d.internal = ctx.template make<Internal>(s.l->key, mine, d.sibling);
         } else {
-          new_internal = ctx.template make<Internal>(BKey::real(k), new_sibling, mine);
+          d.internal = ctx.template make<Internal>(BKey::real(k), d.sibling, mine);
         }
       }
-      if (try_install(s, new_internal, ctx)) {
+      if (try_install(s, d.internal, d, ctx)) {
         ctx.end_op();
         return InsertOutcome::kInserted;
       }
       {
-        // iflag failed: dismantle the unpublished subtree (new_leaf is reused).
+        // iflag failed: dismantle the unpublished subtree (d.leaf is reused).
         hooks::PhaseScope<Traits> alloc_phase(Phase::kPoolAlloc, ctx.tid());
-        ctx.dispose(new_sibling);
-        ctx.dispose(new_internal);
+        ctx.dispose(std::exchange(d.sibling, nullptr));
+        ctx.dispose(std::exchange(d.internal, nullptr));
       }
       ctx.retry_pause();
     }
@@ -285,15 +277,14 @@ class TreeCore {
   /// Search where the leaf (or its absence) was on the search path on
   /// failure.
   bool replace(const Key& k, const Value& expected, Value desired, Ctx& ctx) {
-    Leaf* new_leaf = nullptr;
+    Draft d(ctx);
     ctx.begin_op();
     for (;;) {
       const SearchResult s = search(k, ctx);
       hooks::emit_at<Traits>(HookPoint::kAfterSearch, ctx.tid(), ctx.op_key());
       if (!cmp_.equals(k, s.l->key) || !(s.l->value == expected)) {
-        ctx.dispose(new_leaf);  // never published (may still be null)
         ctx.end_op();
-        return false;
+        return false;  // d disposes any unused leaf
       }
       if (s.pupdate.state() != UpdateState::kClean) {
         help(s.pupdate, ctx);
@@ -302,11 +293,11 @@ class TreeCore {
         ctx.retry_pause();
         continue;
       }
-      if (new_leaf == nullptr) {
+      if (d.leaf == nullptr) {
         hooks::PhaseScope<Traits> alloc_phase(Phase::kPoolAlloc, ctx.tid());
-        new_leaf = ctx.template make<Leaf>(BKey::real(k), std::move(desired));
+        d.leaf = ctx.template make<Leaf>(BKey::real(k), std::move(desired));
       }
-      if (try_install(s, new_leaf, ctx)) {
+      if (try_install(s, d.leaf, d, ctx)) {
         ctx.end_op();
         return true;
       }
@@ -391,6 +382,32 @@ class TreeCore {
   }
 
  private:
+  /// The nodes an insert or replace has made and not yet published. The
+  /// destructor disposes whatever is still held, so an op that returns
+  /// without installing them, or leaves by an exception from a later make
+  /// (a throwing Value copy, bad_alloc), frees them. try_install lets go of
+  /// them at the iflag CAS that publishes them.
+  struct Draft {
+    Ctx& ctx;
+    Leaf* leaf = nullptr;          // the op's new leaf, reused across retries
+    Leaf* sibling = nullptr;       // this attempt's copy of the found leaf
+    Internal* internal = nullptr;  // this attempt's new parent of both
+
+    explicit Draft(Ctx& c) noexcept : ctx(c) {}
+    Draft(const Draft&) = delete;
+    Draft& operator=(const Draft&) = delete;
+    ~Draft() {
+      ctx.dispose(internal);
+      ctx.dispose(sibling);
+      ctx.dispose(leaf);
+    }
+    void release() noexcept {
+      leaf = nullptr;
+      sibling = nullptr;
+      internal = nullptr;
+    }
+  };
+
   /// Retirement with its cost attributed to Phase::kReclamation. For Traits
   /// without the phase hook (the default) this is exactly ctx.retire(p) —
   /// both scope edges fold away (see debug_hooks.hpp).
@@ -401,9 +418,12 @@ class TreeCore {
   }
 
   /// Common tail of Insert and insert_or_assign: flag s.p, then complete via
-  /// HelpInsert. On iflag failure, helps the obstructor and returns false
-  /// (caller owns dismantling `new_node`'s unpublished parts and retrying).
-  bool try_install(const SearchResult& s, Node* new_node, Ctx& ctx) {
+  /// HelpInsert. `new_node` is built from the nodes `d` holds; the iflag CAS
+  /// publishes them, so `d` lets go of them there. On iflag failure, helps
+  /// the obstructor and returns false (the caller dismantles or reuses what
+  /// `d` still holds, and retries).
+  bool try_install(const SearchResult& s, Node* new_node, Draft& d,
+                   Ctx& ctx) {
     IInfo* op;
     {
       hooks::PhaseScope<Traits> alloc_phase(Phase::kPoolAlloc, ctx.tid());
@@ -427,6 +447,7 @@ class TreeCore {
     ctx.count_cas(CasStep::kIFlag, ok);
     ctx.count_insert_attempt();
     if (ok) {
+      d.release();
       // This CAS removed the last shared reference to the Info record that
       // the previous (Clean) word pointed to: retire it now.
       if (Info* prev = s.pupdate.info()) retire_scoped(prev, ctx);
@@ -622,34 +643,7 @@ class TreeCore {
     ctx.count_cas(step, ok);
   }
 
-  // ---------------- Allocation outside an operation ----------------
-  // The constructor/destructor run without an OpContext (there is no
-  // reclaimer involvement at quiescence); they allocate through the same
-  // policy via the structure-level allocator pointer and its thread cache.
-  template <typename T, typename... Args>
-  T* make_direct(Args&&... args) {
-    if constexpr (AllocT::kPooled) {
-      EFRB_DCHECK(alloc_ != nullptr);
-      return alloc_->template create<T>(*alloc_->local_cache(),
-                                        std::forward<Args>(args)...);
-    } else {
-      return new T(std::forward<Args>(args)...);
-    }
-  }
-
-  template <typename T>
-  void dispose_direct(T* p) noexcept {
-    if (p == nullptr) return;
-    if constexpr (AllocT::kPooled) {
-      alloc_->template destroy<T>(*alloc_->local_cache(), p);
-    } else {
-      delete p;
-    }
-  }
-
   BoundedCompare<Key, Compare> cmp_;
-  // Null in heap mode (never dereferenced); the facade's pool otherwise.
-  AllocT* alloc_ = nullptr;
   Internal* root_;  // line 19: the Root pointer is never changed
 };
 

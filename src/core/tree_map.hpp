@@ -1,14 +1,12 @@
 // The one public tree facade. TreeMap wraps a tree core behind the
 // ConcurrentMap surface: tree-level entry points, the per-thread Handle fast
-// path, the reclaimer and allocator policies, and the stats plumbing. A tree
-// type plugs in as a Policy that names its pieces and nothing else:
+// path, the reclaimer policy, and the stats plumbing. A tree type plugs in
+// as a Policy that names its pieces and nothing else:
 //
 //   struct SomePolicy {
 //     static constexpr const char* kName = "some-tree";
 //     template <typename Key, typename Value>
 //     using Layout = ...;  // node types + the node seam of ordered.hpp
-//     template <typename Layout>
-//     using Pool = ObjectPool<...>;  // every type the core allocates
 //     template <typename Key, typename Value, typename Compare,
 //               typename Traits, typename Ctx>
 //     using Core = ...;  // contains/get/insert/replace/erase over a Ctx,
@@ -20,7 +18,7 @@
 // once, in TreeOps below, and reached through two paths that differ only in
 // how they pin and build the OpContext: the tree itself (thread_local
 // reclaimer lease, shared counter block) and a Handle (explicit attachment,
-// private stat shard, backoff and allocator cache).
+// private stat shard and backoff).
 #pragma once
 
 #include <atomic>
@@ -194,22 +192,13 @@ class TreeMap
       return false;
     }
   }();
-  // Allocation policy (Traits::kPooledAlloc, default off): a per-structure
-  // ObjectPool over the policy's node/record types — one uniform cache-line
-  // block class, recycled through the reclaimer's PoolHook — or the plain
-  // heap (see core/alloc.hpp). Chosen before Core exists, which is why the
-  // policy names the Layout separately.
-  using Alloc = std::conditional_t<hooks::pooled_alloc_v<Traits>,
-                                   typename Policy::template Pool<Layout>,
-                                   HeapAllocator>;
   // Causal help-chain attribution is likewise opt-in (Traits::kCausalTrace):
   // handles acquire a ProgressSlot for the liveness watchdog, contexts stamp
   // Info records with their owner, and ops maintain the progress words.
   static constexpr bool kCausal = hooks::causal_trace_v<Traits>;
   // One OpContext instantiation serves both the tree-level path and the
   // Handle fast path: they drive the SAME instantiation of the core.
-  using Ctx =
-      OpContext<Reclaimer, Traits::kCountStats, kTrackKeys, Alloc, kCausal>;
+  using Ctx = OpContext<Reclaimer, Traits::kCountStats, kTrackKeys, kCausal>;
   using Core = typename Policy::template Core<Key, Value, Compare, Traits, Ctx>;
   using Shards =
       std::conditional_t<Traits::kCountStats, ShardPool, EmptyShardPool>;
@@ -225,16 +214,7 @@ class TreeMap
   static constexpr const char* kName = Policy::kName;
 
   explicit TreeMap(Compare cmp = Compare{}, Reclaimer reclaimer = Reclaimer{})
-      : reclaimer_(std::move(reclaimer)), core_(std::move(cmp), &alloc_) {
-    // Route retired nodes back into the pool instead of `delete` (installed
-    // before the tree is shared — the PoolHook write is unsynchronized by
-    // contract). The hook carries a keepalive share of the pool state, so
-    // registry stragglers (leases, orphans) can return blocks even after
-    // this object is gone.
-    if constexpr (Alloc::kPooled) {
-      reclaimer_.set_pool_return(alloc_.pool_hook());
-    }
-  }
+      : reclaimer_(std::move(reclaimer)), core_(std::move(cmp)) {}
 
   TreeMap(const TreeMap&) = delete;
   TreeMap& operator=(const TreeMap&) = delete;
@@ -263,7 +243,6 @@ class TreeMap
     Handle(Handle&& other) noexcept
         : tree_(std::exchange(other.tree_, nullptr)),
           att_(std::move(other.att_)),
-          cache_(std::move(other.cache_)),
           shard_(std::exchange(other.shard_, nullptr)),
           shard_base_(other.shard_base_),
           progress_(std::exchange(other.progress_, nullptr)),
@@ -277,7 +256,6 @@ class TreeMap
         detach();
         tree_ = std::exchange(other.tree_, nullptr);
         att_ = std::move(other.att_);
-        cache_ = std::move(other.cache_);
         shard_ = std::exchange(other.shard_, nullptr);
         shard_base_ = other.shard_base_;
         progress_ = std::exchange(other.progress_, nullptr);
@@ -304,9 +282,6 @@ class TreeMap
       if (tree_ != nullptr) Progress::release(progress_);
       progress_ = nullptr;
       att_.detach();
-      // Flush the private block chain back to the pool's global free list
-      // (no-op in heap mode — the Cache is stateless there).
-      cache_ = typename Alloc::Cache{};
       tree_ = nullptr;
     }
 
@@ -348,7 +323,6 @@ class TreeMap
     explicit Handle(TreeMap* t)
         : tree_(t),
           att_(t->reclaimer_.attach()),
-          cache_(t->alloc_.make_cache()),
           shard_(t->shards_.acquire()),
           rng_(next_handle_seed()),
           tid_(t->next_tid_.fetch_add(1, std::memory_order_relaxed)) {
@@ -370,24 +344,19 @@ class TreeMap
     }
 
     /// Pin through the attachment, build this handle's context (attachment
-    /// retire sink, stat shard, private backoff, private allocator cache),
-    /// run `fn`.
+    /// retire sink and recycle bins, stat shard, private backoff), run `fn`.
     template <typename Fn>
     decltype(auto) with_ctx(Fn&& fn) const {
       [[maybe_unused]] auto guard = pin();
       last_retried_ = false;
       auto ctx = Ctx::attached(
           att_, shard_ != nullptr ? &shard_->counters : nullptr, &backoff_,
-          tid_, &last_retried_, &tree_->alloc_, &cache_, progress_);
+          tid_, &last_retried_, progress_);
       return fn(ctx);
     }
 
     TreeMap* tree_ = nullptr;
     mutable typename Reclaimer::Attachment att_;
-    // Private allocator cache: blocks recycled by this handle's operations
-    // are reused without touching the pool's global free list (empty in heap
-    // mode). Declared after att_ to match the ctor's init order.
-    mutable typename Alloc::Cache cache_;
     StatShard* shard_ = nullptr;
     TreeStats shard_base_;  // recycled shard's totals at acquisition
     ProgressSlot* progress_ = nullptr;  // null unless Traits::kCausalTrace
@@ -438,10 +407,9 @@ class TreeMap
 
   Reclaimer& reclaimer() noexcept { return reclaimer_; }
 
-  /// The node allocator (ObjectPool under PooledTraits, stateless
-  /// HeapAllocator otherwise); exposes PoolStats gauges to tests and the
-  /// observability layer.
-  Alloc& allocator() noexcept { return alloc_; }
+  /// The stateless heap allocator the nodes come from off the Handle path;
+  /// lets benchmarks time one node allocation without an OpContext.
+  HeapAllocator& allocator() noexcept { return alloc_; }
 
   /// The per-handle progress table the liveness watchdog samples
   /// (obs/watchdog.hpp). Meaningful only when Traits::kCausalTrace; the
@@ -459,20 +427,11 @@ class TreeMap
   template <typename Fn>
   decltype(auto) with_ctx(Fn&& fn) const {
     [[maybe_unused]] auto guard = pin();
-    // Allocation via the pool's thread_local cache lease (the analogue of
-    // the reclaimer lease this path already uses); nulls in heap mode are
-    // never read.
-    auto ctx = Ctx::tree_level(reclaimer_, &counters_, &alloc_,
-                               Alloc::kPooled ? alloc_.local_cache() : nullptr);
+    auto ctx = Ctx::tree_level(reclaimer_, &counters_);
     return fn(ctx);
   }
 
-  // Declaration order is load-bearing: the pool must be constructed before
-  // the core (whose constructor allocates the sentinels through it) and
-  // destroyed last — ~Core returns every node to the pool, and ~Reclaimer's
-  // registry may still run pooled disposers (their safety net is the
-  // PoolHook keepalive, but the common path never needs it).
-  [[no_unique_address]] mutable Alloc alloc_;
+  [[no_unique_address]] HeapAllocator alloc_;
   mutable Reclaimer reclaimer_;
   Core core_;
   mutable StatCounters counters_;  // tree-level (non-handle) counter block

@@ -20,8 +20,7 @@
 //    (reclaim/recycle.hpp) instead of `delete`, so the owner's next
 //    allocations reuse them. The bins are allocated at the attachment's
 //    first retire, move with it, and go back to the heap on flush() and
-//    detach(). The thread_local lease path and pooled structures (PoolHook
-//    installed) keep the plain disposal path.
+//    detach(). The thread_local lease path keeps the plain delete path.
 //  * The Registry is shared_ptr-owned by the reclaimer and by every thread
 //    lease, so a thread exiting after the data structure was destroyed cannot
 //    touch freed memory.
@@ -49,10 +48,10 @@ class EpochReclaimer {
 
   struct Retired {
     void* ptr;
-    // Type-erased disposer (recycle_retired<T>): consults the registry's
-    // PoolHook at free time — pool return when installed — and the sweeping
-    // attachment's bins (null outside an attachment sweep), else deletes.
-    void (*deleter)(void*, const PoolHook&, RecycleBins*);
+    // Type-erased disposer (recycle_retired<T>): keeps the block in the
+    // sweeping attachment's bins (null outside an attachment sweep) when
+    // they have room, else deletes.
+    void (*deleter)(void*, RecycleBins*);
     std::uint64_t epoch;
   };
 
@@ -78,15 +77,11 @@ class EpochReclaimer {
 
     ~Registry() {
       // Last reference dropped: nothing can be pinned; free all leftovers.
-      // pool_hook's keepalive guarantees the pool state is still alive here
-      // even if the owning structure (and its pool) died first.
       for (auto& padded : slots) {
-        for (const Retired& r : padded.value.retired) {
-          r.deleter(r.ptr, pool_hook, nullptr);
-        }
+        for (const Retired& r : padded.value.retired) r.deleter(r.ptr, nullptr);
         padded.value.retired.clear();
       }
-      for (const Retired& r : orphans) r.deleter(r.ptr, pool_hook, nullptr);
+      for (const Retired& r : orphans) r.deleter(r.ptr, nullptr);
       orphans.clear();
     }
 
@@ -135,10 +130,6 @@ class EpochReclaimer {
     // orphans.size() mirrored for lock-free gauge snapshots; stored under
     // orphan_mu by every mutator of `orphans`.
     std::atomic<std::uint64_t> orphan_count{0};
-    // Retire-to-pool hook (see reclaim/reclaimer.hpp). Written once by
-    // set_pool_return() before the structure is shared; read by every
-    // disposer call. Unsynchronized by contract.
-    PoolHook pool_hook;
   };
 
  public:
@@ -240,16 +231,14 @@ class EpochReclaimer {
     template <typename T>
     void retire(T* p) {
       EFRB_DCHECK(slot_ != nullptr);
-      // Bins are made at the first retire, unless a pool takes the blocks;
-      // if that allocation fails the sweeps simply keep deleting.
-      if (bins_ == nullptr && !reg_->pool_hook) {
-        bins_.reset(new (std::nothrow) RecycleBins);
-      }
+      // Bins are made at the first retire; if that allocation fails the
+      // sweeps simply keep deleting.
+      if (bins_ == nullptr) bins_.reset(new (std::nothrow) RecycleBins);
       retire_slot(reg_.get(), slot_, retire_batch_, p, bins_.get());
     }
 
     /// Blocks this attachment's sweeps have kept for reuse (OpContext::make
-    /// pops them), or null before the first retire and under a pool.
+    /// pops them), or null before the first retire.
     RecycleBins* recycle_bins() const noexcept { return bins_.get(); }
 
     /// Best-effort drain of this attachment's retire list (quiescent points),
@@ -338,14 +327,6 @@ class EpochReclaimer {
   /// Unified-surface alias of flush() (see ReclaimerPolicy).
   void flush_slot() { flush(); }
 
-  /// Install the retire-to-pool hook (see reclaim/reclaimer.hpp). Must be
-  /// called before this reclaimer is shared between threads — typically once
-  /// in the owning structure's constructor. Retired entries already queued
-  /// are also re-routed (the hook is consulted at free time, not retire time).
-  void set_pool_return(PoolHook hook) noexcept {
-    reg_->pool_hook = std::move(hook);
-  }
-
  private:
   static Guard pin_slot(Registry* reg, Slot* slot) {
     if (slot->depth++ == 0) {
@@ -386,12 +367,15 @@ class EpochReclaimer {
 
   /// Unconditionally drives three advance+sweep rounds: a flush must make
   /// progress for the registry's orphan list too, which an empty caller-side
-  /// retired list says nothing about.
+  /// retired list says nothing about. A flush that empties the list also
+  /// resets the sweep trigger, as release_slot does; otherwise the next
+  /// batch would wait for the trigger the old backlog set.
   static void flush_slot(Registry* reg, Slot* slot) {
     for (int i = 0; i < 3; ++i) {
       reg->try_advance();
       sweep(reg, slot);
     }
+    if (slot->retired.empty()) slot->next_sweep = 0;
   }
 
   /// Common tail of Attachment::detach and the thread-exit Lease: sweep what
@@ -439,7 +423,7 @@ class EpochReclaimer {
     std::uint64_t freed = 0;
     for (std::size_t i = 0; i < list.size(); ++i) {
       if (list[i].epoch + 2 <= e) {
-        list[i].deleter(list[i].ptr, reg->pool_hook, bins);
+        list[i].deleter(list[i].ptr, bins);
         ++freed;
       } else {
         list[kept++] = list[i];
@@ -463,7 +447,7 @@ class EpochReclaimer {
     for (std::size_t i = 0; i < list.size(); ++i) {
       // Safe once two advances have completed past the retire epoch.
       if (list[i].epoch + 2 <= e) {
-        list[i].deleter(list[i].ptr, reg->pool_hook, bins);
+        list[i].deleter(list[i].ptr, bins);
         ++freed;
       } else {
         list[kept++] = list[i];

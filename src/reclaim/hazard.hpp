@@ -31,9 +31,7 @@ namespace efrb {
 class HazardPointerDomain {
   struct Retired {
     void* ptr;
-    // Type-erased disposer (dispose_retired<T>): consults the registry's
-    // PoolHook at free time — pool return when installed, delete otherwise.
-    void (*deleter)(void*, const PoolHook&);
+    void (*deleter)(void*);  // dispose_retired<T>
   };
 
   struct Slot {
@@ -64,13 +62,11 @@ class HazardPointerDomain {
     }
 
     ~Registry() {
-      // pool_hook's keepalive guarantees the pool state is still alive here
-      // even if the owning structure (and its pool) died first.
       for (auto& s : slots) {
-        for (const Retired& r : s->retired) r.deleter(r.ptr, pool_hook);
+        for (const Retired& r : s->retired) r.deleter(r.ptr);
         s->retired.clear();
       }
-      for (const Retired& r : orphans) r.deleter(r.ptr, pool_hook);
+      for (const Retired& r : orphans) r.deleter(r.ptr);
       orphans.clear();
     }
 
@@ -103,10 +99,6 @@ class HazardPointerDomain {
     // orphans.size() mirrored for lock-free gauge snapshots; stored under
     // orphan_mu by every mutator of `orphans`.
     std::atomic<std::uint64_t> orphan_count{0};
-    // Retire-to-pool hook (see reclaim/reclaimer.hpp). Written once by
-    // set_pool_return() before the structure is shared; read by every
-    // disposer call. Unsynchronized by contract.
-    PoolHook pool_hook;
   };
 
  public:
@@ -274,13 +266,6 @@ class HazardPointerDomain {
   /// Unified-surface alias of flush() (see reclaim/reclaimer.hpp).
   void flush_slot() { flush(); }
 
-  /// Install the retire-to-pool hook (see reclaim/reclaimer.hpp). Must run
-  /// before the domain is shared between threads; already-queued entries are
-  /// also re-routed (the hook is consulted at free time, not retire time).
-  void set_pool_return(PoolHook hook) noexcept {
-    reg_->pool_hook = std::move(hook);
-  }
-
  private:
   template <typename T>
   static void retire_slot(Registry* reg, Slot* slot, std::size_t retire_batch,
@@ -321,11 +306,10 @@ class HazardPointerDomain {
     }
     std::sort(protected_ptrs.begin(), protected_ptrs.end());
 
-    std::uint64_t freed = sweep_list(slot->retired, protected_ptrs,
-                                     reg->pool_hook);
+    std::uint64_t freed = sweep_list(slot->retired, protected_ptrs);
     if (orphan_lock.owns_lock()) {
       if (!reg->orphans.empty()) {
-        freed += sweep_list(reg->orphans, protected_ptrs, reg->pool_hook);
+        freed += sweep_list(reg->orphans, protected_ptrs);
         reg->orphan_count.store(reg->orphans.size(),
                                 std::memory_order_relaxed);
       }
@@ -337,11 +321,9 @@ class HazardPointerDomain {
   }
 
   /// Frees every entry of `list` not covered by `protected_ptrs` (sorted);
-  /// compacts the survivors in place and returns the freed count. Takes the
-  /// registry's PoolHook explicitly — this helper has no Registry access.
+  /// compacts the survivors in place and returns the freed count.
   static std::uint64_t sweep_list(std::vector<Retired>& list,
-                                  const std::vector<void*>& protected_ptrs,
-                                  const PoolHook& hook) {
+                                  const std::vector<void*>& protected_ptrs) {
     std::size_t kept = 0;
     std::uint64_t freed = 0;
     for (std::size_t i = 0; i < list.size(); ++i) {
@@ -349,7 +331,7 @@ class HazardPointerDomain {
                              list[i].ptr)) {
         list[kept++] = list[i];
       } else {
-        list[i].deleter(list[i].ptr, hook);
+        list[i].deleter(list[i].ptr);
         ++freed;
       }
     }
@@ -451,9 +433,7 @@ class HazardPointerDomain {
 class HazardReclaimer {
   struct Retired {
     void* ptr;
-    // Type-erased disposer (dispose_retired<T>): consults the registry's
-    // PoolHook at free time — pool return when installed, delete otherwise.
-    void (*deleter)(void*, const PoolHook&);
+    void (*deleter)(void*);  // dispose_retired<T>
   };
 
   struct Slot {
@@ -478,16 +458,14 @@ class HazardReclaimer {
 
     ~Registry() {
       // Last reference dropped: nothing can be pinned; free all leftovers.
-      // pool_hook's keepalive guarantees the pool state is still alive here
-      // even if the owning structure (and its pool) died first.
       for (auto& padded : slots) {
-        for (const Retired& r : padded.value.retired) r.deleter(r.ptr, pool_hook);
-        for (const Retired& r : padded.value.pending) r.deleter(r.ptr, pool_hook);
+        for (const Retired& r : padded.value.retired) r.deleter(r.ptr);
+        for (const Retired& r : padded.value.pending) r.deleter(r.ptr);
         padded.value.retired.clear();
         padded.value.pending.clear();
       }
-      for (const Retired& r : orphan_retired) r.deleter(r.ptr, pool_hook);
-      for (const Retired& r : orphan_pending) r.deleter(r.ptr, pool_hook);
+      for (const Retired& r : orphan_retired) r.deleter(r.ptr);
+      for (const Retired& r : orphan_pending) r.deleter(r.ptr);
       orphan_retired.clear();
       orphan_pending.clear();
     }
@@ -525,10 +503,6 @@ class HazardReclaimer {
     // orphan_retired.size() + orphan_pending.size() mirrored for lock-free
     // gauge snapshots; stored under orphan_mu by every orphan-list mutator.
     std::atomic<std::uint64_t> orphan_count{0};
-    // Retire-to-pool hook (see reclaim/reclaimer.hpp). Written once by
-    // set_pool_return() before the structure is shared; read by every
-    // disposer call. Unsynchronized by contract.
-    PoolHook pool_hook;
   };
 
  public:
@@ -679,13 +653,6 @@ class HazardReclaimer {
   /// Unified-surface alias of flush() (see ReclaimerPolicy).
   void flush_slot() { flush(); }
 
-  /// Install the retire-to-pool hook (see reclaim/reclaimer.hpp). Must run
-  /// before this reclaimer is shared between threads; already-queued entries
-  /// are also re-routed (the hook is consulted at free time).
-  void set_pool_return(PoolHook hook) noexcept {
-    reg_->pool_hook = std::move(hook);
-  }
-
  private:
   static Guard pin_slot(Slot* slot) {
     if (slot->depth++ == 0) {
@@ -735,7 +702,7 @@ class HazardReclaimer {
     }
     readers.resize(kept);
     if (readers.empty() && !pending.empty()) {
-      for (const Retired& r : pending) r.deleter(r.ptr, reg->pool_hook);
+      for (const Retired& r : pending) r.deleter(r.ptr);
       reg->freed_total.fetch_add(pending.size(), std::memory_order_relaxed);
       pending.clear();
     }

@@ -1,12 +1,14 @@
-// Heap recycle bins: the heap allocator's counterpart of the PoolHook.
+// Heap recycle bins: blocks a Handle's own epoch sweeps keep for its next
+// allocations.
 //
-// With the default heap allocator every retired node used to go back to the
-// global allocator in sweeps of a whole retire batch, and every new node came
-// from a fresh `new`. A RecycleBins object short-circuits that round-trip for
-// one reclaimer attachment (one structure Handle): when the attachment's
-// epoch sweep finds a retired object safe, it runs the object's destructor
-// and keeps the raw block in an exact-size bin; the next OpContext::make<T>
-// with sizeof(T) equal to that size pops the block and constructs in place.
+// With the default heap allocator every retired node would go back to the
+// global allocator in sweeps of a whole retire batch, and every new node
+// would come from a fresh `new`. A RecycleBins object short-circuits that
+// round-trip for one reclaimer attachment (one structure Handle): when the
+// attachment's epoch sweep finds a retired object safe, it runs the object's
+// destructor and keeps the raw block in an exact-size bin; the next
+// OpContext::make<T> with sizeof(T) equal to that size pops the block and
+// constructs in place.
 //
 // Safety: a block enters a bin only where it would otherwise have been
 // deleted — after the reclaimer proved no thread can still reach it — so
@@ -172,13 +174,11 @@ class RecycleBins {
 };
 
 /// The epoch reclaimer's disposer: recycle into the sweeping attachment's
-/// bins when it has them and no pool hook is installed, else
-/// dispose_retired<T> (pool return or delete).
+/// bins when it has them and they have room, else delete.
 template <typename T>
-inline void recycle_retired(void* q, const PoolHook& hook,
-                            RecycleBins* bins) noexcept {
-  if (bins != nullptr && !hook && bins->recycle(static_cast<T*>(q))) return;
-  dispose_retired<T>(q, hook);
+inline void recycle_retired(void* q, RecycleBins* bins) noexcept {
+  if (bins != nullptr && bins->recycle(static_cast<T*>(q))) return;
+  dispose_retired<T>(q);
 }
 
 }  // namespace efrb

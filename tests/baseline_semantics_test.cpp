@@ -268,6 +268,18 @@ TEST(HarrisListTest, HazardReclamationFreesUnderChurn) {
       << "hazard-pointer scans never freed anything";
 }
 
+TEST(HarrisListTest, HandleChurnThenFlushEmptiesTheList) {
+  HarrisList<int> l;
+  {
+    auto h = l.handle();
+    for (int i = 0; i < 256; ++i) EXPECT_TRUE(h.insert(i));
+    for (int i = 0; i < 256; ++i) EXPECT_TRUE(h.erase(i));
+    h.flush();
+  }
+  for (int i = 0; i < 256; ++i) EXPECT_FALSE(l.contains(i));
+  EXPECT_EQ(l.size(), 0u);
+}
+
 TEST(SkipListTest, TowersCoverLargeKeyRanges) {
   LockFreeSkipList<int> s;
   for (int k = 0; k < 5000; ++k) ASSERT_TRUE(s.insert(k));

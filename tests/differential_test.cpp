@@ -48,19 +48,29 @@ std::vector<Step> make_script(std::uint64_t seed, int n,
   return script;
 }
 
-template <typename Set>
+/// kViaHandle drives the script through one Handle: the path whose epoch
+/// sweeps recycle retired blocks into later nodes (reclaim/recycle.hpp).
+template <typename Set, bool kViaHandle = false>
 std::vector<bool> run_script(const std::vector<Step>& script) {
-  Set s;
-  std::vector<bool> results;
-  results.reserve(script.size());
-  for (const Step& step : script) {
-    switch (step.op) {
-      case 0: results.push_back(s.insert(step.key)); break;
-      case 1: results.push_back(s.erase(step.key)); break;
-      default: results.push_back(s.contains(step.key));
+  Set set;
+  auto run = [&](auto& s) {
+    std::vector<bool> results;
+    results.reserve(script.size());
+    for (const Step& step : script) {
+      switch (step.op) {
+        case 0: results.push_back(s.insert(step.key)); break;
+        case 1: results.push_back(s.erase(step.key)); break;
+        default: results.push_back(s.contains(step.key));
+      }
     }
+    return results;
+  };
+  if constexpr (kViaHandle) {
+    auto h = set.handle();
+    return run(h);
+  } else {
+    return run(set);
   }
-  return results;
 }
 
 class DifferentialSweep
@@ -80,9 +90,8 @@ TEST_P(DifferentialSweep, AllImplementationsAgreeStepByStep) {
        run_script<EfrbTreeSet<int, std::less<int>, EpochReclaimer,
                               HelpingSearchTraits>>(script)},
       {"chromatic", run_script<ChromaticTreeSet<int>>(script)},
-      {"chromatic-pooled",
-       run_script<ChromaticTreeSet<int, std::less<int>, EpochReclaimer,
-                                   PooledTraits>>(script)},
+      {"chromatic-handle",
+       run_script<ChromaticTreeSet<int>, /*kViaHandle=*/true>(script)},
       {"coarse", run_script<CoarseLockBst<int>>(script)},
       {"finelock", run_script<FineLockBst<int>>(script)},
       {"stdmap", run_script<LockedStdSet<int>>(script)},

@@ -24,17 +24,7 @@
 namespace efrb {
 namespace {
 
-// scripts/check.sh rebuilds this suite with -DEFRB_TEST_POOLED, so the walks
-// of both trees also run over ObjectPool nodes under ASan and TSan.
-#if defined(EFRB_TEST_POOLED)
-using TestTraits = PooledTraits;
-#else
-using TestTraits = NoopTraits;
-#endif
-
-using Trees = ::testing::Types<
-    EfrbTreeSet<int, std::less<int>, EpochReclaimer, TestTraits>,
-    ChromaticTreeSet<int, std::less<int>, EpochReclaimer, TestTraits>>;
+using Trees = ::testing::Types<EfrbTreeSet<int>, ChromaticTreeSet<int>>;
 
 /// The map flavour of a set type: same tree policy, int values.
 template <typename Set>
